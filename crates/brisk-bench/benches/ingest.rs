@@ -4,9 +4,10 @@
 //!
 //! 1. **Paired decode cost** — identical pre-encoded `EventBatch` frames
 //!    are run through four variants in adjacent slices of the same trial:
-//!    the legacy owned decode (`Message::decode`), the reactor pump's
-//!    validate-only pass (`BatchView::parse`), the manager's full
-//!    materialize (`parse` + `materialize`), and the whole delivery
+//!    the owned decode (`Message::decode`, which the reactor shards run
+//!    on every batch frame), the borrowing validate-only pass
+//!    (`BatchView::parse`), the borrowing decode (`parse` +
+//!    `materialize`), and the whole delivery
 //!    baseline (materialize + `IsmCore::push_batch` + `tick`, i.e. the
 //!    memory-only pipeline BENCH_store.json measures). Pairing cancels
 //!    machine drift; the acceptance bar is that the zero-copy ingest
@@ -265,8 +266,8 @@ fn main() {
         out.push_str("  \"artifact\": \"zero-copy ingest decode cost and reactor saturation\",\n");
         out.push_str(&format!(
             "  \"method\": \"cargo bench -p brisk-bench --bench ingest (paired interleaved \
-             trials over identical pre-encoded {BATCH}-record frames: legacy Message::decode vs \
-             BatchView::parse (pump validate) vs parse+materialize (manager decode) vs the full \
+             trials over identical pre-encoded {BATCH}-record frames: Message::decode (shard \
+             decode) vs BatchView::parse (validate only) vs parse+materialize vs the full \
              memory-only delivery baseline; saturation: one IsmServer on TCP with a bounded \
              {reactor_threads}-thread poll reactor — no per-connection threads, no tokio — \
              serving N concurrent v1 EXS connections each sending {rounds} batches)\",\n"

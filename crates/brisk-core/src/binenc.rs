@@ -36,7 +36,7 @@ pub const HEADER_SIZE: usize = 28;
 /// Total encoded size of `rec` in this format.
 pub fn record_size(rec: &EventRecord) -> usize {
     HEADER_SIZE
-        + rec.descriptor().packed_size()
+        + rec.packed_descriptor().len()
         + rec.fields.iter().map(Value::native_size).sum::<usize>()
 }
 
@@ -50,7 +50,7 @@ pub fn encode_record(rec: &EventRecord, out: &mut Vec<u8>) -> usize {
     out.extend_from_slice(&rec.event_type.raw().to_le_bytes());
     out.extend_from_slice(&rec.seq.to_le_bytes());
     out.extend_from_slice(&rec.ts.as_micros().to_le_bytes());
-    out.extend_from_slice(&rec.descriptor().pack());
+    out.extend_from_slice(rec.packed_descriptor().as_bytes());
     for f in &rec.fields {
         encode_value(f, out);
     }
@@ -128,10 +128,10 @@ pub fn decode_record(buf: &[u8]) -> Result<(EventRecord, usize)> {
     let event_type = EventTypeId(c.u32()?);
     let seq = c.u64()?;
     let ts = UtcMicros::from_micros(c.i64()?);
-    let (desc, used) = RecordDescriptor::unpack(&buf[c.pos..])?;
+    let (types, used) = RecordDescriptor::unpack_types(&buf[c.pos..])?;
     c.pos += used;
-    let mut fields = Vec::with_capacity(desc.len());
-    for &vt in desc.types() {
+    let mut fields = Vec::with_capacity(types.as_slice().len());
+    for &vt in types.as_slice() {
         fields.push(decode_value(vt, &mut c)?);
     }
     let rec = EventRecord::new(node, sensor, event_type, seq, ts, fields)?;

@@ -106,12 +106,6 @@ impl RecordDescriptor {
         Ok(())
     }
 
-    /// True if any field's type code is beyond the nibble range, forcing
-    /// the wide packed form.
-    fn needs_wide(&self) -> bool {
-        self.types.iter().any(|t| t.code() > 0x0f)
-    }
-
     /// Compressed encoding: field count byte followed by packed type
     /// nibbles, low nibble first. An 8-field record costs 5 bytes of
     /// meta-information instead of the 36 bytes a naive
@@ -124,19 +118,12 @@ impl RecordDescriptor {
     /// historical nibble form, so old wire frames and stored segments
     /// decode unchanged.
     pub fn pack(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + self.types.len());
-        if self.needs_wide() {
-            out.push(self.types.len() as u8 | WIDE_FLAG);
-            out.extend(self.types.iter().map(|t| t.code()));
-        } else {
-            out.push(self.types.len() as u8);
-            for pair in self.types.chunks(2) {
-                let lo = pair[0].code();
-                let hi = pair.get(1).map_or(0, |t| t.code());
-                out.push(lo | (hi << 4));
-            }
-        }
-        out
+        self.packed().as_bytes().to_vec()
+    }
+
+    /// The packed form held inline, without allocating.
+    fn packed(&self) -> PackedDescriptor {
+        PackedDescriptor::from_codes(self.types.iter().map(|t| t.code()))
     }
 
     /// Decode a packed descriptor from the front of `buf`, returning the
@@ -144,6 +131,18 @@ impl RecordDescriptor {
     /// nibble and the wide form; each descriptor has exactly one canonical
     /// encoding and the other is rejected.
     pub fn unpack(buf: &[u8]) -> Result<(Self, usize)> {
+        let (types, used) = Self::unpack_types(buf)?;
+        Ok((
+            RecordDescriptor {
+                types: types.as_slice().to_vec(),
+            },
+            used,
+        ))
+    }
+
+    /// [`Self::unpack`] without building a descriptor: the field types
+    /// held inline, for decoders that only walk them once.
+    pub fn unpack_types(buf: &[u8]) -> Result<(FieldTypes, usize)> {
         let &count_byte = buf
             .first()
             .ok_or_else(|| BriskError::Codec("empty descriptor".into()))?;
@@ -154,33 +153,34 @@ impl RecordDescriptor {
                 "descriptor field count {count} exceeds {MAX_FIELDS}"
             )));
         }
+        let mut types = FieldTypes {
+            types: [ValueType::I32; MAX_FIELDS],
+            len: count as u8,
+        };
         if wide {
             if buf.len() < 1 + count {
                 return Err(BriskError::Codec("truncated descriptor".into()));
             }
-            let mut types = Vec::with_capacity(count);
-            for &code in &buf[1..1 + count] {
-                types.push(ValueType::from_code(code)?);
+            for (slot, &code) in types.types.iter_mut().zip(&buf[1..1 + count]) {
+                *slot = ValueType::from_code(code)?;
             }
-            let desc = RecordDescriptor { types };
             // Reject non-canonical encodings: wide form is only valid when
             // some code actually needs it.
-            if !desc.needs_wide() {
+            if !types.as_slice().iter().any(|t| t.code() > 0x0f) {
                 return Err(BriskError::Codec(
                     "wide descriptor with only nibble-range codes".into(),
                 ));
             }
-            return Ok((desc, 1 + count));
+            return Ok((types, 1 + count));
         }
         let nibble_bytes = count.div_ceil(2);
         if buf.len() < 1 + nibble_bytes {
             return Err(BriskError::Codec("truncated descriptor".into()));
         }
-        let mut types = Vec::with_capacity(count);
-        for i in 0..count {
+        for (i, slot) in types.types[..count].iter_mut().enumerate() {
             let byte = buf[1 + i / 2];
             let nibble = if i % 2 == 0 { byte & 0x0f } else { byte >> 4 };
-            types.push(ValueType::from_code(nibble)?);
+            *slot = ValueType::from_code(nibble)?;
         }
         // Reject non-canonical encodings: a trailing unused high nibble
         // must be zero so each descriptor has exactly one packed form.
@@ -192,16 +192,75 @@ impl RecordDescriptor {
                 ));
             }
         }
-        Ok((RecordDescriptor { types }, 1 + nibble_bytes))
+        Ok((types, 1 + nibble_bytes))
     }
 
     /// Size of the packed form in bytes.
     pub fn packed_size(&self) -> usize {
-        if self.needs_wide() {
-            1 + self.types.len()
+        self.packed().len()
+    }
+}
+
+/// The field types of a descriptor held inline (at most [`MAX_FIELDS`]),
+/// as [`RecordDescriptor::unpack_types`] decodes them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FieldTypes {
+    types: [ValueType; MAX_FIELDS],
+    len: u8,
+}
+
+impl FieldTypes {
+    /// The ordered field types.
+    pub fn as_slice(&self) -> &[ValueType] {
+        &self.types[..self.len as usize]
+    }
+}
+
+/// A packed descriptor (see [`RecordDescriptor::pack`]) held inline: it
+/// is at most `1 + MAX_FIELDS` bytes, so packing a record's shape on the
+/// encode paths never touches the heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PackedDescriptor {
+    bytes: [u8; 1 + MAX_FIELDS],
+    len: u8,
+}
+
+impl PackedDescriptor {
+    /// Pack the descriptor whose ordered type codes are `codes` (at most
+    /// [`MAX_FIELDS`] of them, which every [`RecordDescriptor`] and
+    /// every record's fields satisfy).
+    pub(crate) fn from_codes(codes: impl ExactSizeIterator<Item = u8> + Clone) -> Self {
+        let count = codes.len();
+        assert!(count <= MAX_FIELDS, "{count} fields exceed {MAX_FIELDS}");
+        let mut bytes = [0u8; 1 + MAX_FIELDS];
+        let len = if codes.clone().any(|c| c > 0x0f) {
+            bytes[0] = count as u8 | WIDE_FLAG;
+            for (slot, code) in bytes[1..].iter_mut().zip(codes) {
+                *slot = code;
+            }
+            1 + count
         } else {
-            1 + self.types.len().div_ceil(2)
+            bytes[0] = count as u8;
+            for (i, code) in codes.enumerate() {
+                bytes[1 + i / 2] |= code << (4 * (i % 2));
+            }
+            1 + count.div_ceil(2)
+        };
+        PackedDescriptor {
+            bytes,
+            len: len as u8,
         }
+    }
+
+    /// The packed bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+
+    /// Length of the packed form in bytes.
+    #[allow(clippy::len_without_is_empty)] // never empty: the count byte
+    pub fn len(&self) -> usize {
+        self.len as usize
     }
 }
 

@@ -44,7 +44,7 @@ pub use config::{
     CreConfig, ExsConfig, FlowConfig, FsyncPolicy, IsmConfig, OrderMode, SorterConfig, StoreConfig,
     SyncConfig, TraceConfig,
 };
-pub use descriptor::RecordDescriptor;
+pub use descriptor::{FieldTypes, PackedDescriptor, RecordDescriptor};
 pub use error::{BriskError, Result};
 pub use hlc::HlcStamp;
 pub use ids::{CorrelationId, EventTypeId, NodeId, SensorId};

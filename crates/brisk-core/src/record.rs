@@ -11,7 +11,7 @@
 //! ISM" (§3.2). `X_TS` fields embedded in the payload are corrected the same
 //! way, so all timestamps a consumer sees are in synchronized EXS time.
 
-use crate::descriptor::{RecordDescriptor, MAX_FIELDS};
+use crate::descriptor::{PackedDescriptor, RecordDescriptor, MAX_FIELDS};
 use crate::error::{BriskError, Result};
 use crate::hlc::HlcStamp;
 use crate::ids::{CorrelationId, EventTypeId, NodeId, SensorId};
@@ -77,6 +77,13 @@ impl EventRecord {
     /// The record's shape.
     pub fn descriptor(&self) -> RecordDescriptor {
         RecordDescriptor::of(&self.fields).expect("field count validated at construction")
+    }
+
+    /// The record's shape in packed form (the bytes
+    /// `self.descriptor().pack()` returns), built without allocating —
+    /// what the encoders embed in every record.
+    pub fn packed_descriptor(&self) -> PackedDescriptor {
+        PackedDescriptor::from_codes(self.fields.iter().map(|f| f.value_type().code()))
     }
 
     /// Correlation id of the first `X_REASON` field, if any.
@@ -180,7 +187,7 @@ impl EventRecord {
     /// field payloads.
     pub fn xdr_payload_size(&self) -> usize {
         let fields: usize = self.fields.iter().map(Value::xdr_size).sum();
-        let meta = self.descriptor().packed_size();
+        let meta = self.packed_descriptor().len();
         // event_type + sensor + seq + ts, each XDR-encoded in the batch body.
         4 + 4 + 8 + 8 + ((meta + 3) & !3) + fields
     }
@@ -278,6 +285,26 @@ mod tests {
             fields,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn packed_descriptor_matches_the_allocating_pack() {
+        let stamp = HlcStamp::new(UtcMicros::from_micros(5), 1);
+        for fields in [
+            vec![],
+            vec![Value::I32(1)],
+            vec![Value::I32(1), Value::Str("x".into()), Value::F64(0.5)],
+            vec![Value::U8(1); MAX_FIELDS],
+            vec![Value::I64(2), Value::Hlc(stamp)],
+            vec![Value::Hlc(stamp); MAX_FIELDS],
+        ] {
+            let r = rec(0, fields);
+            let packed = r.packed_descriptor();
+            assert_eq!(packed.as_bytes(), &r.descriptor().pack()[..]);
+            assert_eq!(packed.len(), r.descriptor().packed_size());
+            let (back, used) = RecordDescriptor::unpack(packed.as_bytes()).unwrap();
+            assert_eq!((back, used), (r.descriptor(), packed.len()));
+        }
     }
 
     #[test]

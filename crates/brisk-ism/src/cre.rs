@@ -44,18 +44,6 @@ pub struct CreStats {
     pub extra_syncs_suppressed: u64,
 }
 
-/// What the matcher did with one input record.
-#[derive(Debug, PartialEq)]
-pub struct CreOutput {
-    /// Records ready to continue down the pipeline (the input and possibly
-    /// previously-held consequences it unblocked), in the order they should
-    /// be pushed to the sorter.
-    pub pass: Vec<EventRecord>,
-    /// True if a tachyon was repaired and an extra sync round should run
-    /// (§3.6; honoured when [`CreConfig::extra_sync_on_tachyon`] is set).
-    pub request_extra_sync: bool,
-}
-
 struct ReasonEntry {
     ts: UtcMicros,
     hlc: Option<HlcStamp>,
@@ -85,12 +73,14 @@ struct HeldConseq {
 ///     vec![Value::Conseq(CorrelationId(7))],
 /// ).unwrap();
 ///
-/// cre.process(reason, UtcMicros::ZERO);
-/// let out = cre.process(conseq, UtcMicros::ZERO);
+/// let mut pass = Vec::new();
+/// cre.process(reason, UtcMicros::ZERO, &mut pass);
+/// pass.clear();
+/// let extra_sync = cre.process(conseq, UtcMicros::ZERO, &mut pass);
 /// // Repaired: the consequence now sits just after its reason, and an
 /// // extra clock-sync round is requested.
-/// assert!(out.pass[0].ts.as_micros() > 100);
-/// assert!(out.request_extra_sync);
+/// assert!(pass[0].ts.as_micros() > 100);
+/// assert!(extra_sync);
 /// ```
 pub struct CreMatcher {
     cfg: CreConfig,
@@ -142,12 +132,19 @@ impl CreMatcher {
     }
 
     /// Process one record. `now` is the ISM's current time (used for the
-    /// hold timeout).
-    pub fn process(&mut self, mut rec: EventRecord, now: UtcMicros) -> CreOutput {
-        let mut out = CreOutput {
-            pass: Vec::with_capacity(1),
-            request_extra_sync: false,
-        };
+    /// hold timeout). The records ready to continue down the pipeline —
+    /// the input and any previously-held consequences it unblocked — are
+    /// appended to `pass` in the order they should reach the sorter; the
+    /// caller owns (and reuses) that buffer. Returns `true` if a tachyon
+    /// was repaired and an extra sync round should run (§3.6; honoured
+    /// when [`CreConfig::extra_sync_on_tachyon`] is set).
+    pub fn process(
+        &mut self,
+        mut rec: EventRecord,
+        now: UtcMicros,
+        pass: &mut Vec<EventRecord>,
+    ) -> bool {
+        let mut extra_sync = false;
         // A record can be a reason, a consequence, or (rarely) both — e.g.
         // a relay hop that is caused by one event and causes another.
         let reason_id = rec.reason_id();
@@ -159,7 +156,7 @@ impl CreMatcher {
                 Some(entry) => {
                     if Self::is_tachyon(self.order, &rec, entry) {
                         let (ts, hlc) = (entry.ts, entry.hlc);
-                        self.repair(&mut rec, ts, hlc, now, &mut out);
+                        extra_sync |= self.repair(&mut rec, ts, hlc, now);
                     }
                 }
                 None => {
@@ -185,7 +182,7 @@ impl CreMatcher {
                         .entry(id)
                         .or_default()
                         .push(HeldConseq { rec, held_at: now });
-                    return out;
+                    return extra_sync;
                 }
             }
         }
@@ -205,16 +202,16 @@ impl CreMatcher {
             // Release any consequences that were waiting for this reason.
             if let Some(held) = self.waiting.remove(&id) {
                 // The reason itself goes first so consumers see causality.
-                out.pass.push(rec);
-                self.release_cascade(reason_ts, reason_hlc, held, now, &mut out);
-                return out;
+                pass.push(rec);
+                extra_sync |= self.release_cascade(reason_ts, reason_hlc, held, now, pass);
+                return extra_sync;
             }
         } else if conseq_id.is_none() {
             self.stats.unmarked += 1;
         }
 
-        out.pass.push(rec);
-        out
+        pass.push(rec);
+        extra_sync
     }
 
     /// The causality test: did this consequence provably NOT happen after
@@ -234,14 +231,14 @@ impl CreMatcher {
     /// reconcile its physical timestamp toward the HLC bound — the
     /// repaired record must sort after its reason under BOTH disciplines,
     /// so causal repairs survive a physically-ordered downstream tier.
+    /// Returns `true` when the repair asks for an extra sync round.
     fn repair(
         &mut self,
         rec: &mut EventRecord,
         reason_ts: UtcMicros,
         reason_hlc: Option<HlcStamp>,
         now: UtcMicros,
-        out: &mut CreOutput,
-    ) {
+    ) -> bool {
         let mut ts_floor = reason_ts;
         if self.order == OrderMode::Causal {
             if let Some(r) = reason_hlc {
@@ -260,13 +257,15 @@ impl CreMatcher {
         }
         rec.stamp_trace(TraceStage::CreRepair, now);
         self.stats.tachyons_repaired += 1;
-        if self.cfg.extra_sync_on_tachyon {
-            if self.take_sync_token(now) {
-                self.stats.extra_syncs_requested += 1;
-                out.request_extra_sync = true;
-            } else {
-                self.stats.extra_syncs_suppressed += 1;
-            }
+        if !self.cfg.extra_sync_on_tachyon {
+            return false;
+        }
+        if self.take_sync_token(now) {
+            self.stats.extra_syncs_requested += 1;
+            true
+        } else {
+            self.stats.extra_syncs_suppressed += 1;
+            false
         }
     }
 
@@ -296,15 +295,17 @@ impl CreMatcher {
     /// repairing tachyons, and transitively release the waiters of any
     /// released record that is itself a reason (a relay hop). The hop's
     /// reason entry is refreshed with its final — possibly bumped —
-    /// stamps so its consequences land causally after it.
+    /// stamps so its consequences land causally after it. Returns `true`
+    /// when a repair asked for an extra sync round.
     fn release_cascade(
         &mut self,
         reason_ts: UtcMicros,
         reason_hlc: Option<HlcStamp>,
         held: Vec<HeldConseq>,
         now: UtcMicros,
-        out: &mut CreOutput,
-    ) {
+        pass: &mut Vec<EventRecord>,
+    ) -> bool {
+        let mut extra_sync = false;
         let mut work = std::collections::VecDeque::new();
         work.push_back((reason_ts, reason_hlc, held));
         while let Some((reason_ts, reason_hlc, held)) = work.pop_front() {
@@ -315,7 +316,7 @@ impl CreMatcher {
             };
             for mut h in held {
                 if Self::is_tachyon(self.order, &h.rec, &entry) {
-                    self.repair(&mut h.rec, reason_ts, reason_hlc, now, out);
+                    extra_sync |= self.repair(&mut h.rec, reason_ts, reason_hlc, now);
                 }
                 // `stats.reasons` already counted when the hop registered
                 // its id at hold time — only the entry is refreshed here.
@@ -329,9 +330,10 @@ impl CreMatcher {
                         work.push_back((h.rec.ts, h.rec.hlc(), waiters));
                     }
                 }
-                out.pass.push(h.rec);
+                pass.push(h.rec);
             }
         }
+        extra_sync
     }
 
     /// Expire held consequences and stale reasons per the hold timeout.
@@ -370,6 +372,27 @@ mod tests {
     use super::*;
     use brisk_core::{EventTypeId, NodeId, SensorId, Value};
     use std::time::Duration;
+
+    /// One `process` call's outcome, for assertions.
+    struct Out {
+        pass: Vec<EventRecord>,
+        request_extra_sync: bool,
+    }
+
+    trait Run {
+        fn run(&mut self, rec: EventRecord, now: UtcMicros) -> Out;
+    }
+
+    impl Run for CreMatcher {
+        fn run(&mut self, rec: EventRecord, now: UtcMicros) -> Out {
+            let mut pass = Vec::new();
+            let request_extra_sync = self.process(rec, now, &mut pass);
+            Out {
+                pass,
+                request_extra_sync,
+            }
+        }
+    }
 
     fn reason(id: u64, ts: i64) -> EventRecord {
         EventRecord::new(
@@ -420,7 +443,7 @@ mod tests {
     #[test]
     fn unmarked_records_pass_through() {
         let mut m = matcher();
-        let out = m.process(plain(10), UtcMicros::ZERO);
+        let out = m.run(plain(10), UtcMicros::ZERO);
         assert_eq!(out.pass.len(), 1);
         assert!(!out.request_extra_sync);
         assert_eq!(m.stats().unmarked, 1);
@@ -430,9 +453,9 @@ mod tests {
     fn ordered_pair_passes_untouched() {
         let mut m = matcher();
         let now = UtcMicros::ZERO;
-        let out = m.process(reason(7, 100), now);
+        let out = m.run(reason(7, 100), now);
         assert_eq!(out.pass.len(), 1);
-        let out = m.process(conseq(7, 150), now);
+        let out = m.run(conseq(7, 150), now);
         assert_eq!(out.pass[0].ts.as_micros(), 150);
         assert!(!out.request_extra_sync);
         assert_eq!(m.stats().tachyons_repaired, 0);
@@ -442,8 +465,8 @@ mod tests {
     fn tachyon_after_reason_is_bumped() {
         let mut m = matcher();
         let now = UtcMicros::ZERO;
-        m.process(reason(7, 100), now);
-        let out = m.process(conseq(7, 90), now);
+        m.run(reason(7, 100), now);
+        let out = m.run(conseq(7, 90), now);
         assert_eq!(out.pass[0].ts.as_micros(), 101, "reason ts + bump");
         assert!(out.request_extra_sync);
         assert_eq!(m.stats().tachyons_repaired, 1);
@@ -453,8 +476,8 @@ mod tests {
     #[test]
     fn equal_timestamps_also_count_as_tachyon() {
         let mut m = matcher();
-        m.process(reason(7, 100), UtcMicros::ZERO);
-        let out = m.process(conseq(7, 100), UtcMicros::ZERO);
+        m.run(reason(7, 100), UtcMicros::ZERO);
+        let out = m.run(conseq(7, 100), UtcMicros::ZERO);
         assert_eq!(out.pass[0].ts.as_micros(), 101);
     }
 
@@ -462,11 +485,11 @@ mod tests {
     fn conseq_before_reason_is_held_then_released() {
         let mut m = matcher();
         let now = UtcMicros::ZERO;
-        let out = m.process(conseq(9, 50), now);
+        let out = m.run(conseq(9, 50), now);
         assert!(out.pass.is_empty());
         assert_eq!(m.held_count(), 1);
         // Reason arrives with a LATER ts: held conseq was a tachyon.
-        let out = m.process(reason(9, 80), now);
+        let out = m.run(reason(9, 80), now);
         assert_eq!(out.pass.len(), 2);
         assert_eq!(out.pass[0].ts.as_micros(), 80, "reason first");
         assert_eq!(out.pass[1].ts.as_micros(), 81, "conseq bumped past reason");
@@ -478,8 +501,8 @@ mod tests {
     fn held_conseq_with_good_ts_released_unmodified() {
         let mut m = matcher();
         let now = UtcMicros::ZERO;
-        m.process(conseq(9, 500), now);
-        let out = m.process(reason(9, 80), now);
+        m.run(conseq(9, 500), now);
+        let out = m.run(reason(9, 80), now);
         assert_eq!(out.pass.len(), 2);
         assert_eq!(out.pass[1].ts.as_micros(), 500);
         assert!(!out.request_extra_sync);
@@ -489,9 +512,9 @@ mod tests {
     fn multiple_held_conseqs_released_together() {
         let mut m = matcher();
         let now = UtcMicros::ZERO;
-        m.process(conseq(9, 50), now);
-        m.process(conseq(9, 60), now);
-        let out = m.process(reason(9, 100), now);
+        m.run(conseq(9, 50), now);
+        m.run(conseq(9, 60), now);
+        let out = m.run(reason(9, 100), now);
         assert_eq!(out.pass.len(), 3);
         assert_eq!(m.stats().tachyons_repaired, 2);
     }
@@ -500,7 +523,7 @@ mod tests {
     fn hold_timeout_releases_unmatched_conseq() {
         let mut m = matcher();
         let t0 = UtcMicros::ZERO;
-        m.process(conseq(11, 50), t0);
+        m.run(conseq(11, 50), t0);
         assert!(m.expire(t0 + Duration::from_millis(50)).is_empty());
         let released = m.expire(t0 + Duration::from_millis(100));
         assert_eq!(released.len(), 1);
@@ -513,12 +536,12 @@ mod tests {
     fn reasons_expire_too() {
         let mut m = matcher();
         let t0 = UtcMicros::ZERO;
-        m.process(reason(12, 100), t0);
+        m.run(reason(12, 100), t0);
         assert_eq!(m.reason_count(), 1);
         m.expire(t0 + Duration::from_millis(100));
         assert_eq!(m.reason_count(), 0);
         // A conseq arriving after its reason expired is held (peer gone).
-        let out = m.process(conseq(12, 90), t0 + Duration::from_millis(100));
+        let out = m.run(conseq(12, 90), t0 + Duration::from_millis(100));
         assert!(out.pass.is_empty());
         assert_eq!(m.held_count(), 1);
     }
@@ -530,8 +553,8 @@ mod tests {
             ..CreConfig::default()
         })
         .unwrap();
-        m.process(reason(1, 100), UtcMicros::ZERO);
-        let out = m.process(conseq(1, 50), UtcMicros::ZERO);
+        m.run(reason(1, 100), UtcMicros::ZERO);
+        let out = m.run(conseq(1, 50), UtcMicros::ZERO);
         assert!(!out.request_extra_sync);
         assert_eq!(m.stats().tachyons_repaired, 1);
         assert_eq!(m.stats().extra_syncs_requested, 0);
@@ -556,8 +579,8 @@ mod tests {
         // untouched; causal mode repairs it.
         let mut m = causal_matcher();
         let now = UtcMicros::ZERO;
-        m.process(with_hlc(reason(7, 100), 100, 4), now);
-        let out = m.process(with_hlc(conseq(7, 150), 100, 2), now);
+        m.run(with_hlc(reason(7, 100), 100, 4), now);
+        let out = m.run(with_hlc(conseq(7, 150), 100, 2), now);
         assert_eq!(m.stats().tachyons_repaired, 1);
         let repaired = &out.pass[0];
         let h = repaired.hlc().unwrap();
@@ -576,8 +599,8 @@ mod tests {
         // The physical heuristic would have flagged this as a tachyon.
         let mut m = causal_matcher();
         let now = UtcMicros::ZERO;
-        m.process(with_hlc(reason(7, 2_000_100), 2_000_100, 0), now);
-        let out = m.process(with_hlc(conseq(7, 200), 2_000_100, 3), now);
+        m.run(with_hlc(reason(7, 2_000_100), 2_000_100, 0), now);
+        let out = m.run(with_hlc(conseq(7, 200), 2_000_100, 3), now);
         assert_eq!(m.stats().tachyons_repaired, 0, "provably ordered");
         assert_eq!(out.pass[0].ts.as_micros(), 200, "not touched");
         assert!(!out.request_extra_sync);
@@ -591,8 +614,8 @@ mod tests {
         // the reason's, so the pair survives a physically-ordered tier.
         let mut m = causal_matcher();
         let now = UtcMicros::ZERO;
-        m.process(with_hlc(reason(9, 2_000_000), 2_000_000, 0), now);
-        let out = m.process(with_hlc(conseq(9, 90), 90, 0), now);
+        m.run(with_hlc(reason(9, 2_000_000), 2_000_000, 0), now);
+        let out = m.run(with_hlc(conseq(9, 90), 90, 0), now);
         assert_eq!(m.stats().tachyons_repaired, 1);
         let repaired = &out.pass[0];
         assert_eq!(
@@ -610,8 +633,8 @@ mod tests {
     fn causal_mode_falls_back_to_ts_without_stamps() {
         let mut m = causal_matcher();
         let now = UtcMicros::ZERO;
-        m.process(reason(7, 100), now);
-        let out = m.process(conseq(7, 90), now);
+        m.run(reason(7, 100), now);
+        let out = m.run(conseq(7, 90), now);
         assert_eq!(out.pass[0].ts.as_micros(), 101, "ts heuristic still works");
         assert_eq!(m.stats().tachyons_repaired, 1);
     }
@@ -621,11 +644,8 @@ mod tests {
         let mut m = causal_matcher();
         let now = UtcMicros::ZERO;
         // Conseq first (held), stamped causally before the reason.
-        assert!(m
-            .process(with_hlc(conseq(9, 500), 100, 1), now)
-            .pass
-            .is_empty());
-        let out = m.process(with_hlc(reason(9, 80), 100, 7), now);
+        assert!(m.run(with_hlc(conseq(9, 500), 100, 1), now).pass.is_empty());
+        let out = m.run(with_hlc(reason(9, 80), 100, 7), now);
         assert_eq!(out.pass.len(), 2);
         let h = out.pass[1].hlc().unwrap();
         assert_eq!(h, HlcStamp::new(UtcMicros::from_micros(100), 8));
@@ -647,19 +667,19 @@ mod tests {
         .unwrap();
         let t0 = UtcMicros::ZERO;
         for id in 0..4u64 {
-            m.process(reason(id, 100), t0);
+            m.run(reason(id, 100), t0);
         }
-        assert!(m.process(conseq(0, 50), t0).request_extra_sync);
-        assert!(m.process(conseq(1, 50), t0).request_extra_sync);
+        assert!(m.run(conseq(0, 50), t0).request_extra_sync);
+        assert!(m.run(conseq(1, 50), t0).request_extra_sync);
         // Burst exhausted: tachyons are still repaired, syncs suppressed.
-        let out = m.process(conseq(2, 50), t0);
+        let out = m.run(conseq(2, 50), t0);
         assert!(!out.request_extra_sync, "third request must be suppressed");
         assert_eq!(out.pass[0].ts.as_micros(), 101, "repair still happens");
         assert_eq!(m.stats().extra_syncs_requested, 2);
         assert_eq!(m.stats().extra_syncs_suppressed, 1);
         // One refill period later a token is back.
         let t1 = t0 + Duration::from_secs(1);
-        assert!(m.process(conseq(3, 50), t1).request_extra_sync);
+        assert!(m.run(conseq(3, 50), t1).request_extra_sync);
         assert_eq!(m.stats().extra_syncs_requested, 3);
         assert_eq!(m.stats().extra_syncs_suppressed, 1);
     }
@@ -669,7 +689,7 @@ mod tests {
         // A relay hop: conseq of id 1, reason for id 2.
         let mut m = matcher();
         let now = UtcMicros::ZERO;
-        m.process(reason(1, 100), now);
+        m.run(reason(1, 100), now);
         let hop = EventRecord::new(
             NodeId(3),
             SensorId(0),
@@ -682,11 +702,11 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = m.process(hop, now);
+        let out = m.run(hop, now);
         // Tachyon vs reason 1 repaired; registered as reason 2 with the
         // corrected timestamp.
         assert_eq!(out.pass[0].ts.as_micros(), 101);
-        let out = m.process(conseq(2, 95), now);
+        let out = m.run(conseq(2, 95), now);
         assert_eq!(out.pass[0].ts.as_micros(), 102, "chained repair");
     }
 
@@ -713,10 +733,10 @@ mod tests {
         let mut m = matcher();
         let now = UtcMicros::ZERO;
         assert!(
-            m.process(relay_hop(1, 2, 90), now).pass.is_empty(),
+            m.run(relay_hop(1, 2, 90), now).pass.is_empty(),
             "hop held: reason 1 unseen"
         );
-        let out = m.process(conseq(2, 95), now);
+        let out = m.run(conseq(2, 95), now);
         assert_eq!(out.pass.len(), 1, "conseq of the held hop must not stall");
         assert_eq!(out.pass[0].ts.as_micros(), 95, "95 > 90: no repair needed");
     }
@@ -729,9 +749,9 @@ mod tests {
         // arrival, causally stamped, with zero timeout expiries.
         let mut m = matcher();
         let now = UtcMicros::ZERO;
-        assert!(m.process(conseq(2, 80), now).pass.is_empty());
-        assert!(m.process(relay_hop(1, 2, 90), now).pass.is_empty());
-        let out = m.process(reason(1, 100), now);
+        assert!(m.run(conseq(2, 80), now).pass.is_empty());
+        assert!(m.run(relay_hop(1, 2, 90), now).pass.is_empty());
+        let out = m.run(reason(1, 100), now);
         let ts: Vec<i64> = out.pass.iter().map(|r| r.ts.as_micros()).collect();
         assert_eq!(ts, vec![100, 101, 102], "reason → hop → conseq, causal");
         assert_eq!(m.held_count(), 0);
@@ -741,8 +761,8 @@ mod tests {
     #[test]
     fn different_ids_do_not_interact() {
         let mut m = matcher();
-        m.process(reason(1, 100), UtcMicros::ZERO);
-        let out = m.process(conseq(2, 50), UtcMicros::ZERO);
+        m.run(reason(1, 100), UtcMicros::ZERO);
+        let out = m.run(conseq(2, 50), UtcMicros::ZERO);
         assert!(out.pass.is_empty(), "conseq 2 must wait for reason 2");
         assert_eq!(m.stats().tachyons_repaired, 0);
     }

@@ -27,8 +27,8 @@
 //!   driven by the threaded [`server::IsmServer`] in real deployments and
 //!   directly by `brisk-sim` in deterministic experiments.
 //! * [`pump`] / [`server::IsmServer`] — the networked manager: a small
-//!   poll-based reactor pool drives every EXS connection (receives
-//!   batches zero-copy, runs poll exchanges with accurate send/receive
+//!   poll-based reactor pool drives every EXS connection (decodes each
+//!   batch once, runs poll exchanges with accurate send/receive
 //!   timestamps) and one manager thread owns the core. Connection count
 //!   is decoupled from thread count: a thousand idle sensors cost a
 //!   handful of reactor threads, not a thousand pump threads.

@@ -130,6 +130,10 @@ pub struct MergePlane {
     telemetry: Option<MergeTelemetry>,
     /// Sorter shed total already reported to the flight recorder.
     flight_last_shed: u64,
+    /// Reused per-record buffer for what the CRE lets through.
+    pass: Vec<EventRecord>,
+    /// Reused per-tick buffer for what the sorter releases.
+    released: Vec<EventRecord>,
 }
 
 impl MergePlane {
@@ -156,6 +160,8 @@ impl MergePlane {
             last_seq: HashMap::new(),
             telemetry: None,
             flight_last_shed: 0,
+            pass: Vec::new(),
+            released: Vec::new(),
         })
     }
 
@@ -328,11 +334,10 @@ impl MergePlane {
                 batch_max = Some(batch_max.map_or(stamp, |m| m.max(stamp)));
                 batch_max_logical = batch_max_logical.max(stamp.logical);
             }
-            let out = self.cre.process(rec, now);
-            if out.request_extra_sync {
+            if self.cre.process(rec, now, &mut self.pass) {
                 self.extra_sync_pending = true;
             }
-            for mut passed in out.pass {
+            for mut passed in self.pass.drain(..) {
                 passed.stamp_trace(TraceStage::SorterAdmit, now);
                 self.sorter.push(passed);
             }
@@ -388,11 +393,14 @@ impl MergePlane {
             self.sorter.push(expired);
         }
         let n = if out.ready() {
-            let mut released = self.sorter.poll(now);
+            let mut released = std::mem::take(&mut self.released);
+            self.sorter.poll_into(now, &mut released);
             for rec in released.iter_mut() {
                 rec.stamp_trace(TraceStage::SorterRelease, now);
             }
-            self.deliver(released, now, out)?
+            let delivered = self.deliver(&mut released, now, out);
+            self.released = released;
+            delivered?
         } else {
             0
         };
@@ -434,20 +442,21 @@ impl MergePlane {
         for expired in self.cre.expire(UtcMicros::MAX) {
             self.sorter.push(expired);
         }
-        let released = self.sorter.drain_all();
-        let n = self.deliver(released, UtcMicros::MAX, out)?;
+        let mut released = self.sorter.drain_all();
+        let n = self.deliver(&mut released, UtcMicros::MAX, out)?;
         out.flush()?;
         Ok(n)
     }
 
+    /// Deliver `records` in order, leaving the buffer empty for reuse.
     fn deliver(
         &mut self,
-        records: Vec<EventRecord>,
+        records: &mut Vec<EventRecord>,
         now: UtcMicros,
         out: &mut dyn MergeOutput,
     ) -> Result<usize> {
         let n = records.len();
-        for rec in records {
+        for rec in records.drain(..) {
             if self.order == OrderMode::Causal {
                 if let Some(last) = self.last_out_ts {
                     if rec.ts < last {

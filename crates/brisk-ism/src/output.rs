@@ -19,25 +19,110 @@ use std::sync::Arc;
 
 pub use brisk_core::sink::EventSink;
 
+/// Size of one memory-buffer chunk. Records are packed back to back into
+/// chunks of this size (a record larger than a chunk gets a chunk of its
+/// own), so the buffer allocates per chunk, not per record.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Where one held record's bytes live.
+#[derive(Clone, Copy)]
+struct Span {
+    /// Sequence number of the chunk holding the record (see
+    /// [`MemoryBufferInner::first_chunk`]).
+    chunk: u64,
+    /// Byte offset of the record within its chunk.
+    offset: u32,
+    /// Encoded length of the record.
+    len: u32,
+}
+
 struct MemoryBufferInner {
-    /// Encoded records, oldest first.
-    records: VecDeque<Vec<u8>>,
-    /// Total encoded bytes currently held.
+    /// Chunks of back-to-back encoded records, oldest first; records are
+    /// appended to the last one.
+    chunks: VecDeque<Vec<u8>>,
+    /// Sequence number of `chunks.front()`.
+    first_chunk: u64,
+    /// One emptied chunk kept for reuse, so a buffer at its byte bound
+    /// evicts and refills without allocating.
+    spare: Option<Vec<u8>>,
+    /// Offset table: one span per held record, oldest first.
+    spans: VecDeque<Span>,
+    /// Total encoded bytes currently held (the sum of the spans' lengths;
+    /// chunk slack does not count against the bound).
     bytes: usize,
-    /// Global index of `records.front()` (grows monotonically as old
+    /// Global index of `spans.front()` (grows monotonically as old
     /// records are evicted).
     first_index: u64,
     evicted: u64,
     written: u64,
 }
 
+impl MemoryBufferInner {
+    /// Append one record, encoded by `encode` into the tail of the current
+    /// chunk, which has at least `size` spare bytes reserved for it.
+    fn append(&mut self, size: usize, encode: impl FnOnce(&mut Vec<u8>)) {
+        let fits = self
+            .chunks
+            .back()
+            .is_some_and(|c| c.capacity() - c.len() >= size);
+        if !fits {
+            let chunk = match self.spare.take() {
+                Some(chunk) if chunk.capacity() >= size => chunk,
+                _ => Vec::with_capacity(size.max(CHUNK_BYTES)),
+            };
+            self.chunks.push_back(chunk);
+        }
+        let chunk_seq = self.first_chunk + self.chunks.len() as u64 - 1;
+        let chunk = self.chunks.back_mut().expect("a chunk was ensured above");
+        let offset = chunk.len();
+        encode(chunk);
+        let len = chunk.len() - offset;
+        self.spans.push_back(Span {
+            chunk: chunk_seq,
+            offset: u32::try_from(offset).expect("chunk offsets fit in u32"),
+            len: u32::try_from(len).expect("record lengths fit in u32"),
+        });
+        self.bytes += len;
+        self.written += 1;
+    }
+
+    /// Evict the oldest records until the held bytes fit `capacity`
+    /// (always keeping the newest record), recycling emptied chunks.
+    fn evict_to(&mut self, capacity: usize) {
+        while self.bytes > capacity && self.spans.len() > 1 {
+            let old = self.spans.pop_front().expect("more than one span");
+            self.bytes -= old.len as usize;
+            self.first_index += 1;
+            self.evicted += 1;
+        }
+        let live = self.spans.front().map_or(u64::MAX, |s| s.chunk);
+        while self.first_chunk < live && self.chunks.len() > 1 {
+            let mut chunk = self.chunks.pop_front().expect("more than one chunk");
+            self.first_chunk += 1;
+            if chunk.capacity() == CHUNK_BYTES {
+                chunk.clear();
+                self.spare = Some(chunk);
+            }
+        }
+    }
+
+    /// The encoded bytes of the held record at `span`.
+    fn bytes_of(&self, span: Span) -> &[u8] {
+        let chunk = &self.chunks[(span.chunk - self.first_chunk) as usize];
+        let start = span.offset as usize;
+        &chunk[start..start + span.len as usize]
+    }
+}
+
 /// The ISM's default output: a bounded in-memory log of encoded records
 /// that any number of consumer tools read at their own pace.
 ///
 /// Records are stored in the *native* binary encoding ("the same binary
-/// structure used by the NOTICE macros"). When the byte bound is exceeded
-/// the oldest records are evicted; a slow reader observes the eviction as
-/// an explicit `missed` count rather than silently corrupted data.
+/// structure used by the NOTICE macros"), back to back in recycled
+/// 64 KiB chunks with an offset table, so writing a record costs no
+/// allocation of its own. When the byte bound is exceeded the oldest
+/// records are evicted; a slow reader observes the eviction as an
+/// explicit `missed` count rather than silently corrupted data.
 pub struct MemoryBuffer {
     capacity_bytes: usize,
     inner: Mutex<MemoryBufferInner>,
@@ -49,7 +134,10 @@ impl MemoryBuffer {
         Arc::new(MemoryBuffer {
             capacity_bytes: capacity_bytes.max(1024),
             inner: Mutex::new(MemoryBufferInner {
-                records: VecDeque::new(),
+                chunks: VecDeque::new(),
+                first_chunk: 0,
+                spare: None,
+                spans: VecDeque::new(),
                 bytes: 0,
                 first_index: 0,
                 evicted: 0,
@@ -58,32 +146,27 @@ impl MemoryBuffer {
         })
     }
 
-    /// Append one record.
+    /// Append one record, encoding it in place.
     pub fn write(&self, rec: &EventRecord) {
-        let mut encoded = Vec::with_capacity(rec.native_size());
-        binenc::encode_record(rec, &mut encoded);
-        self.write_encoded(encoded);
+        let mut inner = self.inner.lock();
+        inner.append(rec.native_size(), |chunk| {
+            binenc::encode_record(rec, chunk);
+        });
+        inner.evict_to(self.capacity_bytes);
     }
 
     /// Append one record the caller already `binenc`-encoded. The delivery
     /// path encodes each record exactly once and shares the bytes between
     /// this buffer and the durable store.
-    pub fn write_encoded(&self, encoded: Vec<u8>) {
+    pub fn write_encoded(&self, encoded: &[u8]) {
         let mut inner = self.inner.lock();
-        inner.bytes += encoded.len();
-        inner.records.push_back(encoded);
-        inner.written += 1;
-        while inner.bytes > self.capacity_bytes && inner.records.len() > 1 {
-            let old = inner.records.pop_front().expect("non-empty");
-            inner.bytes -= old.len();
-            inner.first_index += 1;
-            inner.evicted += 1;
-        }
+        inner.append(encoded.len(), |chunk| chunk.extend_from_slice(encoded));
+        inner.evict_to(self.capacity_bytes);
     }
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        self.inner.lock().spans.len()
     }
 
     /// True if no record is held.
@@ -115,7 +198,7 @@ impl MemoryBuffer {
         let inner = self.inner.lock();
         MemoryBufferReader {
             buffer: Arc::clone(self),
-            next_index: inner.first_index + inner.records.len() as u64,
+            next_index: inner.first_index + inner.spans.len() as u64,
             missed_counter: None,
         }
     }
@@ -154,8 +237,9 @@ impl MemoryBufferReader {
             }
         }
         let skip = (self.next_index - inner.first_index) as usize;
-        let mut out = Vec::with_capacity(inner.records.len().saturating_sub(skip));
-        for encoded in inner.records.iter().skip(skip) {
+        let mut out = Vec::with_capacity(inner.spans.len().saturating_sub(skip));
+        for &span in inner.spans.iter().skip(skip) {
+            let encoded = inner.bytes_of(span);
             let (rec, used) = binenc::decode_record(encoded)?;
             if used != encoded.len() {
                 return Err(BriskError::Codec("trailing bytes in memory buffer".into()));
@@ -336,6 +420,89 @@ mod tests {
         assert_eq!(got.last().unwrap().seq, 99);
         let seqs: Vec<u64> = got.iter().map(|r| r.seq).collect();
         assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1));
+    }
+
+    /// The per-record reference model of the byte bound: the same
+    /// eviction rule over a queue of record lengths.
+    struct Model {
+        held: VecDeque<(u64, usize)>,
+        bytes: usize,
+        next: u64,
+        evicted: u64,
+    }
+
+    impl Model {
+        fn write(&mut self, len: usize, cap: usize) {
+            self.held.push_back((self.next, len));
+            self.next += 1;
+            self.bytes += len;
+            while self.bytes > cap && self.held.len() > 1 {
+                let (_, old) = self.held.pop_front().unwrap();
+                self.bytes -= old;
+                self.evicted += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_eviction_and_missed_match_the_per_record_model() {
+        // Records from ~40 B to several KiB, plus a few larger than a
+        // whole chunk, through a bound of a few chunks: eviction crosses
+        // chunk boundaries constantly.
+        let cap = 3 * CHUNK_BYTES + 777;
+        let buf = MemoryBuffer::new(cap);
+        let mut model = Model {
+            held: VecDeque::new(),
+            bytes: 0,
+            next: 0,
+            evicted: 0,
+        };
+        let mut reader = buf.reader();
+        let mut model_next = 0u64; // next index the model reader expects
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..20_000u64 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let blob = match i % 997 {
+                0 => 2 * CHUNK_BYTES,
+                _ => (rng % 3_000) as usize,
+            };
+            let r = EventRecord::new(
+                NodeId(1),
+                SensorId(0),
+                EventTypeId(1),
+                i,
+                UtcMicros::from_micros(i as i64),
+                vec![Value::U64(i), Value::Bytes(vec![i as u8; blob])],
+            )
+            .unwrap();
+            model.write(r.native_size(), cap);
+            if i.is_multiple_of(3) {
+                buf.write(&r);
+            } else {
+                let mut enc = Vec::new();
+                binenc::encode_record(&r, &mut enc);
+                buf.write_encoded(&enc);
+            }
+            assert_eq!(buf.len(), model.held.len(), "after record {i}");
+            assert_eq!(buf.evicted(), model.evicted, "after record {i}");
+            if rng.is_multiple_of(7) {
+                let (got, missed) = reader.poll().unwrap();
+                let first = model.held.front().unwrap().0;
+                let want_missed = first.saturating_sub(model_next);
+                assert_eq!(missed, want_missed, "missed after record {i}");
+                let start = model_next.max(first);
+                let want: Vec<u64> = (start..model.next).collect();
+                let seqs: Vec<u64> = got.iter().map(|r| r.seq).collect();
+                assert_eq!(seqs, want, "records read after record {i}");
+                for r in &got {
+                    assert_eq!(r.fields[0], Value::U64(r.seq), "payload intact");
+                }
+                model_next = model.next;
+            }
+        }
+        assert_eq!(buf.written(), 20_000);
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Per-connection pump logic.
 //!
 //! The ISM keeps one long-lived connection per external sensor. Each
-//! connection gets a *pump* that (a) forwards incoming event batches to
-//! the manager and (b) executes clock-sync poll exchanges on the
-//! manager's behalf. Running the poll exchange *at the pump* stamps
-//! `t_master_send` / `t_master_recv` right at the socket, keeping manager
-//! scheduling delays out of the skew samples.
+//! connection gets a *pump* that (a) decodes incoming event batches and
+//! forwards their records to the manager and (b) executes clock-sync poll
+//! exchanges on the manager's behalf. Running the poll exchange *at the
+//! pump* stamps `t_master_send` / `t_master_recv` right at the socket,
+//! keeping manager scheduling delays out of the skew samples.
+//!
+//! Decoding at the pump is deliberate: the manager is one thread that
+//! every record of every node passes through, so each batch is decoded
+//! exactly once — validated and materialized in a single pass — on the
+//! pump (a reactor shard, in the server) and crosses the manager queue as
+//! owned records. The manager only dedups, merges and delivers.
 //!
 //! Two drivers share this logic through `PumpIo`: the threaded
 //! [`run_pump`] (one thread per connection — used by tests and embedders)
@@ -13,9 +19,9 @@
 //! multiplexes every connection over a small bounded thread pool.
 
 use brisk_clock::{Clock, SkewSample};
-use brisk_core::{BriskError, FlowConfig, NodeId, Result, UtcMicros};
+use brisk_core::{BriskError, EventRecord, FlowConfig, NodeId, Result, TraceStage, UtcMicros};
 use brisk_net::Connection;
-use brisk_proto::{BatchView, Message};
+use brisk_proto::Message;
 use brisk_telemetry::{Counter, Registry};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -282,21 +288,11 @@ pub enum PumpEvent {
         id: u64,
         /// Batch sequence number (`None` on v1 connections).
         seq: Option<u64>,
-        /// The wire frame, validated but still encoded. The pump parsed
-        /// it as a [`BatchView`] (rejecting malformed bytes and spoofed
-        /// node ids) without materializing a single record; the manager
-        /// materializes exactly once on the consumer side, so record
-        /// payloads cross the queue as one buffer, not per-record
-        /// allocations.
-        frame: Vec<u8>,
-        /// Records in the frame, pre-counted at validation so flow
-        /// accounting and credit math never re-parse the frame.
-        count: usize,
-        /// When the frame left the socket; the manager stamps
-        /// `PumpRecv` with this so the BatchSend→PumpRecv trace span
-        /// stays pure wire + validation time even though
-        /// materialization happens later.
-        recv_ts: UtcMicros,
+        /// The batch's records, decoded once by the pump — on the
+        /// session plane, in one validating pass — and already stamped
+        /// `PumpRecv` with the socket-side receive time, so the manager
+        /// only merges them.
+        records: Vec<EventRecord>,
         /// When the pump put this batch on the manager queue; the delay
         /// until the manager acks it is the credit-grant latency.
         enqueued_at: Instant,
@@ -620,56 +616,18 @@ impl PumpIo {
     /// (orderly `Shutdown`, a spoofed batch, a protocol violation, or an
     /// exhausted quarantine budget); `Ok` carries what happened.
     ///
-    /// Batches take the zero-copy path: the frame is validated as a
-    /// [`BatchView`] — every record body walked and bounds-checked, no
-    /// record materialized — and the raw bytes are forwarded to the
-    /// manager, which materializes exactly once.
+    /// Batches are decoded here, once: [`Message::decode`] validates the
+    /// whole frame and materializes its records in the same pass, and
+    /// the records cross the manager queue ready to merge. Decoding on
+    /// the shard rather than the manager spreads that cost over the
+    /// reactor pool and keeps the single manager thread — the serial
+    /// stage every record passes through — free for merging.
     pub(crate) fn on_frame(&mut self, frame: Vec<u8>) -> Result<FrameOutcome> {
-        if brisk_proto::peek_tag(&frame).is_some_and(brisk_proto::is_batch_tag) {
-            let (count, seq) = match BatchView::parse(&frame) {
-                Ok(view) => {
-                    // The connection authenticated as `self.node` in the
-                    // handshake; a batch claiming another origin is
-                    // spoofed (or a badly confused client) — kill the
-                    // connection rather than pollute another node's
-                    // event stream.
-                    if view.node() != self.node {
-                        return Err(BriskError::Protocol(format!(
-                            "batch claims node {} on a connection that said Hello as {}",
-                            view.node(),
-                            self.node
-                        )));
-                    }
-                    (view.len(), view.seq())
-                }
-                Err(e) => {
-                    return if self.note_malformed(&frame, &e) {
-                        Err(BriskError::Disconnected)
-                    } else {
-                        Ok(FrameOutcome::Consumed)
-                    };
-                }
-            };
-            if let Some(flow) = &self.flow {
-                flow.add(count as u64);
-            }
-            // First ISM-side trace hop, taken right at the socket: the
-            // manager stamps PumpRecv with this timestamp when it
-            // materializes, keeping queueing delay out of the
-            // BatchSend→PumpRecv span.
-            let recv_ts = self.clock.now();
-            self.send_event(PumpEvent::Batch {
-                node: self.node,
-                id: self.id,
-                seq,
-                frame,
-                count,
-                recv_ts,
-                enqueued_at: Instant::now(),
-            });
-            return Ok(FrameOutcome::Consumed);
-        }
         match Message::decode(&frame) {
+            Ok(Message::EventBatch { node, seq, records }) => {
+                self.forward_batch(node, seq, records)?;
+                Ok(FrameOutcome::Consumed)
+            }
             Ok(Message::SyncReply {
                 round,
                 sample,
@@ -699,6 +657,43 @@ impl PumpIo {
                 }
             }
         }
+    }
+
+    /// Hand one decoded batch to the manager, after the spoof check.
+    fn forward_batch(
+        &mut self,
+        node: NodeId,
+        seq: Option<u64>,
+        mut records: Vec<EventRecord>,
+    ) -> Result<()> {
+        // The connection authenticated as `self.node` in the handshake; a
+        // batch claiming another origin is spoofed (or a badly confused
+        // client) — kill the connection rather than pollute another
+        // node's event stream.
+        if node != self.node {
+            return Err(BriskError::Protocol(format!(
+                "batch claims node {node} on a connection that said Hello as {}",
+                self.node
+            )));
+        }
+        if let Some(flow) = &self.flow {
+            flow.add(records.len() as u64);
+        }
+        // First ISM-side trace hop, taken right at the socket, so the
+        // BatchSend→PumpRecv span is wire + decode time and the manager's
+        // queueing shows up in the next span.
+        let recv_ts = self.clock.now();
+        for rec in records.iter_mut() {
+            rec.stamp_trace(TraceStage::PumpRecv, recv_ts);
+        }
+        self.send_event(PumpEvent::Batch {
+            node,
+            id: self.id,
+            seq,
+            records,
+            enqueued_at: Instant::now(),
+        });
+        Ok(())
     }
 }
 
@@ -846,7 +841,7 @@ impl Pump {
 mod tests {
     use super::*;
     use brisk_clock::SystemClock;
-    use brisk_core::{EventRecord, EventTypeId, SensorId, UtcMicros};
+    use brisk_core::{EventTypeId, SensorId};
     use brisk_net::{MemTransport, Transport};
 
     fn mem_pair() -> (Box<dyn Connection>, Box<dyn Connection>) {
@@ -994,18 +989,14 @@ mod tests {
                 node,
                 id,
                 seq,
-                frame,
-                count,
+                records,
                 ..
             } => {
                 assert_eq!(node, NodeId(5));
                 assert_eq!(id, pump.id());
                 assert_eq!(seq, Some(1));
-                assert_eq!(count, 1);
-                // The pump forwards the validated frame un-decoded; the
-                // consumer materializes the records from the view.
-                let view = BatchView::parse(&frame).unwrap();
-                assert_eq!(view.materialize().unwrap(), vec![rec]);
+                // The pump forwards the records decoded.
+                assert_eq!(records, vec![rec]);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -680,7 +680,6 @@ mod tests {
     use brisk_clock::SystemClock;
     use brisk_core::{EventRecord, EventTypeId, NodeId, SensorId};
     use brisk_net::{MemTransport, Transport};
-    use brisk_proto::BatchView;
 
     fn test_pool() -> (
         ReactorPool,
@@ -746,7 +745,7 @@ mod tests {
         let handle = pump_rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(handle.node, NodeId(7));
         assert_eq!(handle.version(), brisk_proto::VERSION);
-        // A batch flows through untouched and still parses as a view.
+        // A batch arrives at the manager decoded.
         let rec = EventRecord::new(
             NodeId(7),
             SensorId(0),
@@ -771,16 +770,13 @@ mod tests {
                 node,
                 id,
                 seq,
-                frame,
-                count,
+                records,
                 ..
             } => {
                 assert_eq!(node, NodeId(7));
                 assert_eq!(id, handle.id());
                 assert_eq!(seq, Some(1));
-                assert_eq!(count, 1);
-                let view = BatchView::parse(&frame).unwrap();
-                assert_eq!(view.materialize().unwrap(), vec![rec]);
+                assert_eq!(records, vec![rec]);
             }
             other => panic!("unexpected {other:?}"),
         }

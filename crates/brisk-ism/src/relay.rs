@@ -475,30 +475,18 @@ impl UpstreamExporter {
     /// traffic. Replay deliberately ignores credit: those records were
     /// already granted in flight by the previous connection.
     fn replay_unacked(&mut self) {
-        let frames: Vec<Vec<u8>> = self
+        let Some(conn) = &mut self.conn else { return };
+        let failed = self
             .window
             .iter_unacked()
-            .map(|(seq, records)| {
-                Message::EventBatch {
-                    node: self.cfg.prefix.relay_node(),
-                    seq: Some(seq),
-                    records: records.clone(),
-                }
-                .encode()
-            })
-            .collect();
-        let n = frames.len() as u64;
-        for frame in frames {
-            if let Some(conn) = &mut self.conn {
-                if conn.send(&frame).is_err() {
-                    self.mark_disconnected("send failed during replay");
-                    return;
-                }
-            }
+            .any(|(_, frame)| conn.send(frame).is_err());
+        if failed {
+            self.mark_disconnected("send failed during replay");
+            return;
         }
         self.shared
             .batches_retransmitted
-            .fetch_add(n, Ordering::Relaxed);
+            .fetch_add(self.window.depth() as u64, Ordering::Relaxed);
         self.last_send = Instant::now();
     }
 
@@ -506,9 +494,8 @@ impl UpstreamExporter {
     /// stays windowed; the next reconnect's replay delivers it.
     fn ship(&mut self, records: Vec<EventRecord>) {
         let n = records.len() as u64;
-        let frame_records = records.clone();
-        let (seq, evicted) = self.window.push(records);
-        if evicted.is_some() {
+        let pushed = self.window.push(self.cfg.prefix.relay_node(), &records);
+        if pushed.evicted.is_some() {
             self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
             brisk_telemetry::flight_log!(
                 Warn,
@@ -519,15 +506,9 @@ impl UpstreamExporter {
                 self.cfg.window_batches
             );
         }
-        self.inflight.push_back((seq, Instant::now()));
+        self.inflight.push_back((pushed.seq, Instant::now()));
         if let Some(conn) = &mut self.conn {
-            let frame = Message::EventBatch {
-                node: self.cfg.prefix.relay_node(),
-                seq: Some(seq),
-                records: frame_records,
-            }
-            .encode();
-            if conn.send(&frame).is_err() {
+            if conn.send(pushed.frame).is_err() {
                 self.mark_disconnected("send failed");
             } else {
                 self.last_send = Instant::now();

@@ -7,15 +7,18 @@
 //!   client;
 //! * **reactor shards** (bounded pool, see `crate::reactor`) — greet
 //!   every connection (`Hello`, with its 5 s deadline) and then
-//!   multiplex all of them over `poll(2)`: forward batches zero-copy,
-//!   send batch acks and credit grants, run poll exchanges with
-//!   socket-accurate timestamps. Connection count is independent of
-//!   thread count ([`brisk_core::IsmConfig::pump_threads`]);
+//!   multiplex all of them over `poll(2)`: decode each batch frame once
+//!   (validation and materialization in one pass, spoof check,
+//!   `PumpRecv` stamp) and forward its records, send batch acks and
+//!   credit grants, run poll exchanges with socket-accurate timestamps.
+//!   Connection count is independent of thread count
+//!   ([`brisk_core::IsmConfig::pump_threads`]);
 //! * **manager** — owns the [`IsmCore`] and the [`SyncMaster`]; consumes
-//!   pump events, materializes each batch's records exactly once from
-//!   its validated wire frame, ticks the pipeline, schedules
-//!   synchronization rounds every `poll_period`, plus the *extra* rounds
-//!   requested by tachyon repairs (§3.6).
+//!   pump events, pushes each batch's decoded records into the core,
+//!   ticks the pipeline, schedules synchronization rounds every
+//!   `poll_period`, plus the *extra* rounds requested by tachyon repairs
+//!   (§3.6). Every record passes through this one thread, so it does no
+//!   decoding: that work runs in parallel on the shards.
 
 use crate::core::{IsmCore, IsmCoreStats};
 use crate::cre::CreStats;
@@ -24,9 +27,8 @@ use crate::pump::{FlowState, PumpCommand, PumpEvent, PumpHandle, QuarantineLog};
 use crate::reactor::{ActiveNodes, ReactorConfig, ReactorPool};
 use crate::sorter::SorterStats;
 use brisk_clock::{Clock, SyncMaster, SyncOutcome};
-use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig, TraceStage};
+use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig};
 use brisk_net::{ConnMetrics, Listener};
-use brisk_proto::BatchView;
 use brisk_telemetry::{Counter, Histogram, Registry, StageLatencies};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use std::collections::{HashMap, HashSet};
@@ -460,35 +462,21 @@ impl Manager {
                 node,
                 id,
                 seq,
-                frame,
-                count,
-                recv_ts,
+                records,
                 enqueued_at,
             } => {
                 self.last_seen.insert(node, Instant::now());
-                let n = count as u64;
-                // Materialize exactly once, on the consumer side of the
-                // queue: the pump already validated the frame as a view,
-                // so a failure here is a logic error rather than wire
-                // corruption — skip the batch instead of poisoning the
-                // manager. The PumpRecv stamp uses the socket-side
-                // receive time, keeping manager queueing delay out of
-                // the BatchSend→PumpRecv span.
+                let n = records.len() as u64;
+                // The pump decoded and PumpRecv-stamped the records at
+                // the socket; the manager only merges them.
                 //
                 // Dedup happens in the core; accepted or not, a sequenced
                 // batch is acked — a replayed duplicate means our earlier
                 // ack died with the old connection, so re-acking is
                 // exactly what unblocks the sender's retransmit window.
-                let pushed = match BatchView::parse(&frame).and_then(|view| view.materialize()) {
-                    Ok(mut records) => {
-                        for rec in records.iter_mut() {
-                            rec.stamp_trace(TraceStage::PumpRecv, recv_ts);
-                        }
-                        self.core
-                            .push_batch_seq(node, seq, records, self.clock.now())
-                    }
-                    Err(_) => Ok(false),
-                };
+                let pushed = self
+                    .core
+                    .push_batch_seq(node, seq, records, self.clock.now());
                 // The records left the manager queue whether the core
                 // accepted them or not; free the pumps before erroring.
                 self.flow.sub(n);

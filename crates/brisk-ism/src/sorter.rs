@@ -46,8 +46,11 @@ fn key_under(order: OrderMode, rec: &EventRecord) -> SortKey {
     }
 }
 
-/// Heap entry: the head record's sort key plus its queue.
-type HeapEntry = Reverse<(SortKey, QueueKey)>;
+/// Heap entry: the head record's sort key plus its queue's slot in
+/// [`OnlineSorter::queues`]. The slot, not the `(node, sensor)` key, so a
+/// release indexes its queue directly instead of hashing. Keys already
+/// end in node, sensor and seq, so the slot never decides the order.
+type HeapEntry = Reverse<(SortKey, usize)>;
 
 /// Counters describing sorter behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,17 +120,23 @@ pub struct OnlineSorter {
     max_buffered: usize,
     overload: OverloadPolicy,
     order: OrderMode,
-    /// Per-source FIFO queues; each record is stored with its sort key,
-    /// computed once at push time (an `X_HLC` lookup scans the record's
-    /// fields — doing it per heap operation instead would dominate the
-    /// causal-mode merge cost).
-    queues: HashMap<QueueKey, VecDeque<(EventRecord, SortKey)>>,
+    /// Per-source FIFO queues, one slot per `(node, sensor)` ever seen;
+    /// each record is stored with its sort key, computed once at push
+    /// time (an `X_HLC` lookup scans the record's fields — doing it per
+    /// heap operation instead would dominate the causal-mode merge cost).
+    queues: Vec<VecDeque<(EventRecord, SortKey)>>,
+    /// Slot of each source's queue in `queues`.
+    slots: HashMap<QueueKey, usize>,
+    /// The source and slot of the previous push: a batch is one node's
+    /// records, mostly from a few sensors, so consecutive pushes usually
+    /// hit the same queue and skip the hash lookup.
+    last_push: Option<(QueueKey, usize)>,
     /// Min-heap over the head of every non-empty queue.
     heads: BinaryHeap<HeapEntry>,
     buffered: usize,
     frame_us: i64,
     last_released_key: Option<HlcStamp>,
-    last_released_from: Option<QueueKey>,
+    last_released_from: Option<usize>,
     last_decay_at: Option<UtcMicros>,
     stats: SorterStats,
 }
@@ -142,7 +151,9 @@ impl OnlineSorter {
             max_buffered,
             overload: OverloadPolicy::default(),
             order: OrderMode::default(),
-            queues: HashMap::new(),
+            queues: Vec::new(),
+            slots: HashMap::new(),
+            last_push: None,
             heads: BinaryHeap::new(),
             buffered: 0,
             last_released_key: None,
@@ -190,8 +201,8 @@ impl OnlineSorter {
 
     /// Accept one record.
     pub fn push(&mut self, rec: EventRecord) {
-        let qkey = (rec.node, rec.sensor);
-        let q = self.queues.entry(qkey).or_default();
+        let slot = self.slot_of((rec.node, rec.sensor));
+        let q = &mut self.queues[slot];
         let was_empty = q.is_empty();
         // Defensive: a sensor whose clock stepped backwards could emit a
         // non-monotone stream; clamp so the queue invariant holds and the
@@ -229,25 +240,47 @@ impl OnlineSorter {
         self.buffered += 1;
         self.stats.pushed += 1;
         if was_empty {
-            self.heads.push(Reverse((rec_key, qkey)));
+            self.heads.push(Reverse((rec_key, slot)));
         }
+    }
+
+    /// The queue slot of source `qkey`, created on first sight.
+    fn slot_of(&mut self, qkey: QueueKey) -> usize {
+        if let Some((last, slot)) = self.last_push {
+            if last == qkey {
+                return slot;
+            }
+        }
+        let slot = *self.slots.entry(qkey).or_insert_with(|| {
+            self.queues.push(VecDeque::new());
+            self.queues.len() - 1
+        });
+        self.last_push = Some((qkey, slot));
+        slot
     }
 
     /// Release every record whose delay has expired, in merged timestamp
     /// order. `now` is the ISM's current (synchronized) time.
     pub fn poll(&mut self, now: UtcMicros) -> Vec<EventRecord> {
-        self.maybe_decay(now);
-        self.release_ready(now)
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
     }
 
-    /// The release loop proper, shared by `poll` (which decays first) and
-    /// `drain_all` (which must not touch the decay schedule).
-    fn release_ready(&mut self, now: UtcMicros) -> Vec<EventRecord> {
-        let mut out = Vec::new();
+    /// [`Self::poll`] appending to a caller-owned buffer, so a pipeline
+    /// that polls every tick reuses one allocation.
+    pub fn poll_into(&mut self, now: UtcMicros, out: &mut Vec<EventRecord>) {
+        self.maybe_decay(now);
+        self.release_ready(now, out);
+    }
+
+    /// The release loop proper, shared by `poll_into` (which decays
+    /// first) and `drain_all` (which must not touch the decay schedule).
+    fn release_ready(&mut self, now: UtcMicros, out: &mut Vec<EventRecord>) {
         loop {
             // Memory pressure: evict the globally-smallest head early.
             let force = self.max_buffered != 0 && self.buffered > self.max_buffered;
-            let Some(&Reverse((key, qkey))) = self.heads.peek() else {
+            let Some(&Reverse((key, slot))) = self.heads.peek() else {
                 break;
             };
             let release_deadline = key.0.physical.offset(self.frame_us);
@@ -255,11 +288,11 @@ impl OnlineSorter {
                 break;
             }
             self.heads.pop();
-            let q = self.queues.get_mut(&qkey).expect("queue for heap entry");
+            let q = &mut self.queues[slot];
             let (rec, _) = q.pop_front().expect("non-empty queue in heap");
             self.buffered -= 1;
             if let Some((_, next_key)) = q.front() {
-                self.heads.push(Reverse((*next_key, qkey)));
+                self.heads.push(Reverse((*next_key, slot)));
             }
             if force {
                 // Under ShedUnmarked, plain records are dropped outright;
@@ -272,17 +305,16 @@ impl OnlineSorter {
                 self.stats.forced_releases += 1;
             }
             self.stats.released += 1;
-            self.observe_release(key.0, qkey);
+            self.observe_release(key.0, slot);
             out.push(rec);
         }
-        out
     }
 
     /// Inversion detection and frame growth: "two successive records from
     /// different external sensors … extracted out of order". `key` is the
     /// released record's cached stamp (from its heap entry) and `from` its
-    /// queue — no field rescan on release.
-    fn observe_release(&mut self, key: HlcStamp, from: QueueKey) {
+    /// queue's slot — no field rescan on release.
+    fn observe_release(&mut self, key: HlcStamp, from: usize) {
         if let (Some(last_key), Some(last_from)) = (self.last_released_key, self.last_released_from)
         {
             if key < last_key && from != last_from {
@@ -333,7 +365,8 @@ impl OnlineSorter {
     pub fn drain_all(&mut self) -> Vec<EventRecord> {
         let saved_frame = self.frame_us;
         self.frame_us = 0;
-        let out = self.release_ready(UtcMicros::MAX);
+        let mut out = Vec::new();
+        self.release_ready(UtcMicros::MAX, &mut out);
         self.frame_us = saved_frame;
         out
     }

@@ -81,15 +81,15 @@ proptest! {
             match *op {
                 Op::Reason { id, ts } => {
                     fed += 1;
-                    out.extend(m.process(reason(id, seq, ts), now).pass);
+                    m.process(reason(id, seq, ts), now, &mut out);
                 }
                 Op::Conseq { id, ts } => {
                     fed += 1;
-                    out.extend(m.process(conseq(id, seq, ts), now).pass);
+                    m.process(conseq(id, seq, ts), now, &mut out);
                 }
                 Op::Plain { ts } => {
                     fed += 1;
-                    out.extend(m.process(plain(seq, ts), now).pass);
+                    m.process(plain(seq, ts), now, &mut out);
                 }
                 Op::Expire { advance_ms } => {
                     now += Duration::from_millis(advance_ms);
@@ -118,15 +118,20 @@ proptest! {
             std::collections::HashMap::new();
         for (seq, op) in ops.iter().enumerate() {
             let seq = seq as u64;
-            let outs = match *op {
+            let mut outs = Vec::new();
+            match *op {
                 Op::Reason { id, ts } => {
                     reason_ts.insert(id, UtcMicros::from_micros(ts));
-                    m.process(reason(id, seq, ts), now).pass
+                    m.process(reason(id, seq, ts), now, &mut outs);
                 }
-                Op::Conseq { id, ts } => m.process(conseq(id, seq, ts), now).pass,
-                Op::Plain { ts } => m.process(plain(seq, ts), now).pass,
+                Op::Conseq { id, ts } => {
+                    m.process(conseq(id, seq, ts), now, &mut outs);
+                }
+                Op::Plain { ts } => {
+                    m.process(plain(seq, ts), now, &mut outs);
+                }
                 Op::Expire { .. } => continue, // no time movement here
-            };
+            }
             for r in outs {
                 if let Some(id) = r.conseq_id() {
                     if let Some(&rts) = reason_ts.get(&id.raw()) {
@@ -148,10 +153,11 @@ proptest! {
         let mut m = CreMatcher::new(CreConfig::default()).unwrap();
         for (seq, &t) in ts.iter().enumerate() {
             let input = plain(seq as u64, t);
-            let out = m.process(input.clone(), UtcMicros::ZERO);
-            prop_assert_eq!(out.pass.len(), 1);
-            prop_assert_eq!(&out.pass[0], &input);
-            prop_assert!(!out.request_extra_sync);
+            let mut pass = Vec::new();
+            let extra_sync = m.process(input.clone(), UtcMicros::ZERO, &mut pass);
+            prop_assert_eq!(pass.len(), 1);
+            prop_assert_eq!(&pass[0], &input);
+            prop_assert!(!extra_sync);
         }
         prop_assert_eq!(m.held_count(), 0);
     }
@@ -163,15 +169,16 @@ proptest! {
         let mut m = CreMatcher::new(CreConfig::default()).unwrap();
         let now = UtcMicros::ZERO;
         let mut requests = 0u64;
+        let mut pass = Vec::new();
         for (seq, op) in ops.iter().enumerate() {
             let seq = seq as u64;
-            let out = match *op {
-                Op::Reason { id, ts } => m.process(reason(id, seq, ts), now),
-                Op::Conseq { id, ts } => m.process(conseq(id, seq, ts), now),
-                Op::Plain { ts } => m.process(plain(seq, ts), now),
+            let extra_sync = match *op {
+                Op::Reason { id, ts } => m.process(reason(id, seq, ts), now, &mut pass),
+                Op::Conseq { id, ts } => m.process(conseq(id, seq, ts), now, &mut pass),
+                Op::Plain { ts } => m.process(plain(seq, ts), now, &mut pass),
                 Op::Expire { .. } => continue,
             };
-            if out.request_extra_sync {
+            if extra_sync {
                 requests += 1;
             }
         }

@@ -12,7 +12,7 @@
 //! drives it with the current time, so the same logic runs under real and
 //! simulated clocks.
 
-use brisk_core::{EventRecord, ExsConfig, UtcMicros};
+use brisk_core::{EventRecord, ExsConfig, NodeId, UtcMicros};
 use std::collections::VecDeque;
 
 /// Why a batch was emitted.
@@ -131,21 +131,49 @@ impl Batcher {
 }
 
 /// Bounded retransmit window for acknowledged batch delivery (protocol
-/// v2). The EXS assigns every outgoing batch a per-node monotonic sequence
-/// number and keeps a copy here until the ISM's cumulative [`BatchAck`]
-/// covers it; after a reconnect the supervisor replays whatever is still
-/// unacked so an abrupt disconnect loses nothing.
+/// v2). The sender assigns every outgoing batch a per-node monotonic
+/// sequence number and keeps its encoded frame here until the ISM's
+/// cumulative [`BatchAck`] covers it; after a reconnect the sender
+/// replays whatever is still unacked so an abrupt disconnect loses
+/// nothing. Shared by the EXS and the relay's upstream exporter.
+///
+/// The window holds wire bytes, not records: each batch is encoded once,
+/// with its sequence number, when it is pushed, and a replay resends
+/// exactly those bytes — no record is cloned or re-encoded.
 ///
 /// The window is bounded: pushing into a full window evicts the oldest
-/// unacked batch (returned to the caller so it can be counted as lost)
+/// unacked batch (reported to the caller so it can be counted as lost)
 /// rather than blocking the node's instrumentation.
 ///
 /// [`BatchAck`]: brisk_proto::Message::BatchAck
 #[derive(Clone, Debug)]
 pub struct SendWindow {
     next_seq: u64,
-    unacked: VecDeque<(u64, Vec<EventRecord>)>,
+    unacked: VecDeque<Windowed>,
+    /// Records across `unacked`, kept in step with it so the credit
+    /// check is O(1).
+    unacked_records: u64,
     capacity: usize,
+}
+
+/// One retained batch: its sequence number, record count and frame.
+#[derive(Clone, Debug)]
+struct Windowed {
+    seq: u64,
+    records: u64,
+    frame: Vec<u8>,
+}
+
+/// What [`SendWindow::push`] did with a batch.
+#[derive(Debug)]
+pub struct Pushed<'a> {
+    /// The sequence number assigned to the batch.
+    pub seq: u64,
+    /// The batch's encoded frame, ready to send.
+    pub frame: &'a [u8],
+    /// Records of the oldest batch pushed out of a full window to make
+    /// room (lost to replay), if one was.
+    pub evicted: Option<u64>,
 }
 
 impl SendWindow {
@@ -154,6 +182,7 @@ impl SendWindow {
         SendWindow {
             next_seq: 1,
             unacked: VecDeque::with_capacity(capacity.min(1024)),
+            unacked_records: 0,
             capacity: capacity.max(1),
         }
     }
@@ -171,44 +200,63 @@ impl SendWindow {
     /// Total records across the unacked batches — the sender's in-flight
     /// count against a credit budget (protocol v3 flow control).
     pub fn unacked_records(&self) -> u64 {
-        self.unacked.iter().map(|(_, b)| b.len() as u64).sum()
+        self.unacked_records
     }
 
-    /// Assign the next sequence number to `records`, retain a copy for
-    /// replay, and return `(seq, evicted)` where `evicted` is the batch
-    /// pushed out of a full window (its records are lost to replay).
-    pub fn push(&mut self, records: Vec<EventRecord>) -> (u64, Option<Vec<EventRecord>>) {
+    /// Assign the next sequence number to `records`, encode them once as
+    /// `node`'s batch frame with that number, and retain the frame for
+    /// replay. The returned [`Pushed`] borrows the retained frame for the
+    /// first send.
+    pub fn push(&mut self, node: NodeId, records: &[EventRecord]) -> Pushed<'_> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let evicted = if self.unacked.len() >= self.capacity {
-            self.unacked.pop_front().map(|(_, b)| b)
+            self.unacked.pop_front().map(|old| {
+                self.unacked_records -= old.records;
+                old.records
+            })
         } else {
             None
         };
-        self.unacked.push_back((seq, records));
-        (seq, evicted)
+        let n = records.len() as u64;
+        self.unacked_records += n;
+        self.unacked.push_back(Windowed {
+            seq,
+            records: n,
+            frame: brisk_proto::encode_batch(node, Some(seq), records),
+        });
+        Pushed {
+            seq,
+            frame: &self.unacked.back().expect("batch pushed above").frame,
+            evicted,
+        }
     }
 
     /// Apply a cumulative ack: drop every batch with `seq <= acked`.
     /// Returns how many batches were released.
     pub fn ack(&mut self, acked: u64) -> usize {
         let before = self.unacked.len();
-        while matches!(self.unacked.front(), Some((s, _)) if *s <= acked) {
+        while let Some(front) = self.unacked.front() {
+            if front.seq > acked {
+                break;
+            }
+            self.unacked_records -= front.records;
             self.unacked.pop_front();
         }
         before - self.unacked.len()
     }
 
-    /// The unacked batches in sequence order, for replay after a reconnect.
-    pub fn iter_unacked(&self) -> impl Iterator<Item = (u64, &Vec<EventRecord>)> {
-        self.unacked.iter().map(|(s, b)| (*s, b))
+    /// The unacked batches' `(seq, frame)` in sequence order, for replay
+    /// after a reconnect: the very bytes of each batch's first send.
+    pub fn iter_unacked(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.unacked.iter().map(|w| (w.seq, &w.frame[..]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brisk_core::{EventTypeId, NodeId, SensorId, Value};
+    use brisk_core::{EventTypeId, SensorId, Value};
     use std::time::Duration;
 
     fn rec(seq: u64) -> EventRecord {
@@ -323,9 +371,9 @@ mod tests {
         let mut w = SendWindow::new(8);
         assert_eq!(w.next_seq(), 1);
         for i in 0..5u64 {
-            let (seq, evicted) = w.push(vec![rec(i)]);
-            assert_eq!(seq, i + 1);
-            assert!(evicted.is_none());
+            let pushed = w.push(NodeId(1), &[rec(i)]);
+            assert_eq!(pushed.seq, i + 1);
+            assert!(pushed.evicted.is_none());
         }
         assert_eq!(w.depth(), 5);
         assert_eq!(w.unacked_records(), 5);
@@ -338,22 +386,48 @@ mod tests {
         assert_eq!(w.ack(3), 0);
         assert_eq!(w.ack(100), 2);
         assert_eq!(w.depth(), 0);
+        assert_eq!(w.unacked_records(), 0);
         // Sequence numbers keep growing after acks.
-        assert_eq!(w.push(vec![rec(9)]).0, 6);
+        assert_eq!(w.push(NodeId(1), &[rec(9)]).seq, 6);
     }
 
     #[test]
     fn send_window_evicts_oldest_when_full() {
         let mut w = SendWindow::new(2);
-        assert!(w.push(vec![rec(1)]).1.is_none());
-        assert!(w.push(vec![rec(2)]).1.is_none());
-        let (seq, evicted) = w.push(vec![rec(3)]);
-        assert_eq!(seq, 3);
-        let evicted = evicted.expect("oldest batch evicted");
-        assert_eq!(evicted[0].seq, 1);
+        assert!(w.push(NodeId(1), &[rec(1)]).evicted.is_none());
+        assert!(w.push(NodeId(1), &[rec(2), rec(3)]).evicted.is_none());
+        let pushed = w.push(NodeId(1), &[rec(4)]);
+        assert_eq!(pushed.seq, 3);
+        assert_eq!(pushed.evicted, Some(1), "the one-record batch 1 fell out");
         assert_eq!(w.depth(), 2);
+        assert_eq!(w.unacked_records(), 3);
         let seqs: Vec<u64> = w.iter_unacked().map(|(s, _)| s).collect();
         assert_eq!(seqs, vec![2, 3]);
+    }
+
+    #[test]
+    fn send_window_replays_the_first_send_byte_for_byte() {
+        use brisk_proto::Message;
+        let mut w = SendWindow::new(8);
+        let mut first_sends = Vec::new();
+        for i in 0..4u64 {
+            let batch: Vec<EventRecord> = (0..=i).map(|k| rec(10 * i + k)).collect();
+            let pushed = w.push(NodeId(1), &batch);
+            // The first send is the encoding of the sequenced batch.
+            let expected = Message::EventBatch {
+                node: NodeId(1),
+                seq: Some(pushed.seq),
+                records: batch,
+            }
+            .encode();
+            assert_eq!(pushed.frame, &expected[..]);
+            first_sends.push((pushed.seq, pushed.frame.to_vec()));
+        }
+        w.ack(1);
+        // Replay after a reconnect resends exactly those bytes, in order.
+        let replayed: Vec<(u64, Vec<u8>)> =
+            w.iter_unacked().map(|(s, f)| (s, f.to_vec())).collect();
+        assert_eq!(replayed, first_sends[1..]);
     }
 
     #[test]

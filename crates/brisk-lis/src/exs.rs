@@ -493,21 +493,10 @@ impl ExternalSensor {
         let Some(w) = &self.window else {
             return Ok(());
         };
-        let frames: Vec<Vec<u8>> = w
-            .iter_unacked()
-            .map(|(seq, records)| {
-                Message::EventBatch {
-                    node: self.node,
-                    seq: Some(seq),
-                    records: records.clone(),
-                }
-                .encode()
-            })
-            .collect();
-        let replayed = frames.len() as u64;
-        for frame in frames {
-            self.conn.send(&frame)?;
+        for (_, frame) in w.iter_unacked() {
+            self.conn.send(frame)?;
         }
+        let replayed = w.depth() as u64;
         self.shared
             .batches_retransmitted
             .fetch_add(replayed, Ordering::Relaxed);
@@ -535,8 +524,7 @@ impl ExternalSensor {
     /// connection is already gone); the next incarnation replays it.
     fn stash_batch(&mut self, records: Vec<EventRecord>) {
         if let Some(w) = &mut self.window {
-            let (_seq, evicted) = w.push(records);
-            if evicted.is_some() {
+            if w.push(self.node, &records).evicted.is_some() {
                 self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
             }
             self.shared
@@ -841,25 +829,25 @@ impl ExternalSensor {
         for rec in records.iter_mut() {
             rec.stamp_trace(TraceStage::BatchSend, send_ts);
         }
-        let seq = match &mut self.window {
+        // v2+: the window encodes the batch once, with its sequence
+        // number, and keeps the frame for replay; a v1 connection has no
+        // window and sends the unsequenced format.
+        match &mut self.window {
             Some(w) => {
-                let (seq, evicted) = w.push(records.clone());
-                if evicted.is_some() {
+                let pushed = w.push(self.node, &records);
+                if pushed.evicted.is_some() {
                     self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
                 }
+                let sent = self.conn.send(pushed.frame);
                 self.shared
                     .window_depth
                     .store(w.depth() as u64, Ordering::Relaxed);
-                Some(seq)
+                sent?;
             }
-            None => None,
-        };
-        let msg = Message::EventBatch {
-            node: self.node,
-            seq,
-            records,
-        };
-        self.conn.send(&msg.encode())?;
+            None => self
+                .conn
+                .send(&brisk_proto::encode_batch(self.node, None, &records))?,
+        }
         self.last_send_us = self.pacing_now_us();
         self.update_credit_balance();
         self.shared.records_sent.fetch_add(n, Ordering::Relaxed);

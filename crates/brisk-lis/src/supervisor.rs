@@ -223,7 +223,8 @@ fn supervise(
 
     /// How one incarnation ended.
     enum IncarnationEnd {
-        /// Orderly stop (local stop flag or ISM `Shutdown`): exit for good.
+        /// Orderly stop (local stop flag, or an ISM `Shutdown` that is not
+        /// a reconnect's rejected Hello): exit for good.
         Stop,
         /// Abrupt disconnect: reconnect, replaying the carried window.
         Reconnect(Option<SendWindow>),
@@ -330,6 +331,18 @@ fn supervise(
                 break IncarnationEnd::Stop;
             }
             match exs.step() {
+                Ok(ExsStep::Shutdown) if acks_before > 0 && shared.hello_acks() == acks_before => {
+                    // A reconnect's Hello answered with Shutdown before
+                    // any HelloAck: the ISM still holds this node's
+                    // previous connection — it has not yet noticed that
+                    // link die — and rejected the Hello as a duplicate.
+                    // Retry after a backoff instead of stopping for good;
+                    // the unacked window replays on the next connection.
+                    carried_correction
+                        .store(exs.corrected_clock().correction_us(), Ordering::Relaxed);
+                    carried_credit = exs.credit();
+                    break IncarnationEnd::Reconnect(exs.into_window());
+                }
                 Ok(ExsStep::Shutdown) => {
                     // The ISM asked us to stop — honour it, do not reconnect.
                     carried_correction
@@ -662,6 +675,62 @@ mod tests {
             with_ack < without_ack,
             "acked incarnations must reconnect faster ({with_ack:?} vs {without_ack:?})"
         );
+    }
+
+    #[test]
+    fn reconnect_rejected_as_duplicate_hello_is_retried() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("ism").unwrap();
+        let rings = RingSet::new(NodeId(1), 1 << 20);
+        let mut port = rings.register();
+        let t2 = Arc::clone(&t);
+        let handle = spawn_exs_supervised(
+            NodeId(1),
+            rings,
+            Arc::new(SystemClock),
+            Box::new(move || t2.connect("ism")),
+            ExsConfig {
+                flush_timeout: Duration::from_millis(1),
+                ..ExsConfig::default()
+            },
+            SupervisorConfig {
+                initial_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(5),
+                max_consecutive_failures: None,
+            },
+        )
+        .unwrap();
+        let accept = |l: &mut Box<dyn brisk_net::Listener>| {
+            l.accept(Some(Duration::from_secs(5))).unwrap().unwrap()
+        };
+        let ack = Message::HelloAck {
+            version: brisk_proto::VERSION,
+            credit: None,
+        }
+        .encode();
+        // Incarnation 1 handshakes, then its link dies abruptly.
+        let mut conn = accept(&mut listener);
+        let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        conn.send(&ack).unwrap();
+        port.emit(EventTypeId(1), UtcMicros::now(), vec![Value::U32(7)])
+            .unwrap();
+        let (n, _) = recv_records(&mut conn, Duration::from_millis(200));
+        assert_eq!(n, 1);
+        drop(conn);
+        // Incarnation 2's Hello is rejected as a duplicate (the ISM still
+        // holds the dead link): Shutdown before any HelloAck.
+        let mut conn = accept(&mut listener);
+        let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        conn.send(&Message::Shutdown.encode()).unwrap();
+        // The node must come back, not stop for good, and replay its
+        // unacked window.
+        let mut conn = accept(&mut listener);
+        let _hello = conn.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+        conn.send(&ack).unwrap();
+        let (n, _) = recv_records(&mut conn, Duration::from_millis(200));
+        assert_eq!(n, 1, "the unacked record replays on the third link");
+        let stats = handle.stop().unwrap();
+        assert_eq!(stats.connects, 3);
     }
 
     #[test]

@@ -322,45 +322,7 @@ impl Message {
                 }
             },
             Message::EventBatch { node, seq, records } => {
-                // The EXS wire formats compress the node id into the
-                // batch header; only a batch whose records all share the
-                // header node survives that round trip. A relay batch
-                // mixes nodes, so it takes the Multi format, which spends
-                // one word per record to keep each origin.
-                if records.iter().any(|r| r.node != *node) {
-                    e.uint(Tag::EventBatchMulti as u32);
-                    e.uint(node.raw());
-                    match seq {
-                        Some(seq) => {
-                            e.uint(1);
-                            e.uhyper(*seq);
-                        }
-                        None => {
-                            e.uint(0);
-                        }
-                    }
-                    e.uint(records.len() as u32);
-                    for r in records {
-                        e.uint(r.node.raw());
-                        encode_record_body(r, &mut e);
-                    }
-                } else {
-                    match seq {
-                        Some(seq) => {
-                            e.uint(Tag::EventBatchSeq as u32);
-                            e.uint(node.raw());
-                            e.uhyper(*seq);
-                        }
-                        None => {
-                            e.uint(Tag::EventBatch as u32);
-                            e.uint(node.raw());
-                        }
-                    }
-                    e.uint(records.len() as u32);
-                    for r in records {
-                        encode_record_body(r, &mut e);
-                    }
-                }
+                return encode_batch(*node, *seq, records);
             }
             Message::BatchAck { seq, credit } => match credit {
                 Some(credit) => {
@@ -512,12 +474,59 @@ impl Message {
     }
 }
 
+/// Encode an event batch frame straight from a record slice: the bytes
+/// [`Message::encode`] produces for `Message::EventBatch { node, seq,
+/// records }`, without building (or cloning records into) a `Message`.
+///
+/// The EXS wire formats compress the node id into the batch header; only
+/// a batch whose records all share the header node survives that round
+/// trip. A relay batch mixes nodes, so it takes the Multi format, which
+/// spends one word per record to keep each origin.
+pub fn encode_batch(node: NodeId, seq: Option<u64>, records: &[EventRecord]) -> Vec<u8> {
+    let body: usize = records.iter().map(|r| 4 + r.xdr_payload_size()).sum();
+    let mut e = XdrEncoder::with_capacity(24 + body);
+    if records.iter().any(|r| r.node != node) {
+        e.uint(Tag::EventBatchMulti as u32);
+        e.uint(node.raw());
+        match seq {
+            Some(seq) => {
+                e.uint(1);
+                e.uhyper(seq);
+            }
+            None => {
+                e.uint(0);
+            }
+        }
+        e.uint(records.len() as u32);
+        for r in records {
+            e.uint(r.node.raw());
+            encode_record_body(r, &mut e);
+        }
+    } else {
+        match seq {
+            Some(seq) => {
+                e.uint(Tag::EventBatchSeq as u32);
+                e.uint(node.raw());
+                e.uhyper(seq);
+            }
+            None => {
+                e.uint(Tag::EventBatch as u32);
+                e.uint(node.raw());
+            }
+        }
+        e.uint(records.len() as u32);
+        for r in records {
+            encode_record_body(r, &mut e);
+        }
+    }
+    e.into_bytes()
+}
+
 /// Read a frame's wire tag without decoding the body. `None` when the
 /// frame is shorter than one XDR word (such a frame can never decode).
 ///
-/// The ingest hot path uses this to route event batches through the
-/// zero-copy [`BatchView`] parse while every other (rare, small) message
-/// kind takes the owned [`Message::decode`] path.
+/// Pair with [`is_batch_tag`] to tell event batches (the hot traffic)
+/// from the rare, small control messages without decoding either.
 pub fn peek_tag(frame: &[u8]) -> Option<u32> {
     let word: [u8; 4] = frame.get(..4)?.try_into().ok()?;
     Some(u32::from_be_bytes(word))
@@ -539,10 +548,10 @@ pub const fn is_batch_tag(tag: u32) -> bool {
 /// `brisk_xdr::view`), but each record is kept as a [`RecordView`] whose
 /// field bytes still point into the arrival buffer — nothing is copied
 /// until [`BatchView::materialize`] (or a per-record
-/// [`RecordView::materialize`]) is called. The ISM pump validates a frame
-/// once with this type and forwards the raw frame; the manager re-parses
-/// and materializes exactly once, so a record is copied at most once
-/// end-to-end.
+/// [`RecordView::materialize`]) is called. It suits readers that inspect
+/// a frame without keeping its records (tools, benchmarks, frame
+/// classification); the ISM ingest path, which keeps every record,
+/// decodes batches once with [`Message::decode`] instead.
 #[derive(Debug)]
 pub struct BatchView<'a> {
     node: NodeId,

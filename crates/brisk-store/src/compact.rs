@@ -32,7 +32,10 @@
 //!   patterns (bit-exact round-trip, tiny varints for repeated values);
 //! * `Str` / `Bytes` / `Trace` — `varint 0` when identical to the
 //!   previous value, else `varint (len + 1)` followed by the raw bytes
-//!   (for `Trace`, its native binary encoding).
+//!   (for `Trace`, its native binary encoding);
+//! * `Hlc` (`X_HLC`) — `varint zz(physical delta)` then
+//!   `varint zz(logical delta)`, each against the previous stamp's
+//!   component (both start at 0).
 //!
 //! Slowly-varying telemetry — the common cold-trace shape — lands around
 //! one byte per header field and one or two per payload field, versus the
@@ -44,8 +47,8 @@ use crate::segment::{
     append_frame, decode_any_header, index_path, segment_path, SegmentBody, FRAME_OVERHEAD,
 };
 use brisk_core::{
-    BriskError, CorrelationId, EventRecord, EventTypeId, NodeId, Result, SensorId, TraceContext,
-    UtcMicros, Value, ValueType,
+    BriskError, CorrelationId, EventRecord, EventTypeId, HlcStamp, NodeId, Result, SensorId,
+    TraceContext, UtcMicros, Value, ValueType,
 };
 use brisk_proto::{DescriptorDict, DictKey};
 use brisk_telemetry::Registry;
@@ -158,6 +161,7 @@ fn value_from_bits(ty: ValueType, bits: u64) -> Result<Value> {
 enum PrevField {
     Num(u64),
     Blob(Vec<u8>),
+    Hlc(HlcStamp),
 }
 
 /// Per-shape delta state within a block.
@@ -176,6 +180,7 @@ fn fresh_state(key: &DictKey) -> ShapeState {
             .iter()
             .map(|t| match t {
                 ValueType::Str | ValueType::Bytes | ValueType::Trace => PrevField::Blob(Vec::new()),
+                ValueType::Hlc => PrevField::Hlc(HlcStamp::ZERO),
                 _ => PrevField::Num(0),
             })
             .collect(),
@@ -229,6 +234,19 @@ pub fn encode_block(records: &[EventRecord], dict: &mut DescriptorDict) -> Resul
                     scratch.clear();
                     ctx.encode_into(&mut scratch);
                     encode_blob(&scratch, prev, &mut out)?;
+                }
+                Value::Hlc(stamp) => {
+                    let PrevField::Hlc(p) = prev else {
+                        return Err(BriskError::Codec("field state mismatch".into()));
+                    };
+                    let dphys = stamp
+                        .physical
+                        .as_micros()
+                        .wrapping_sub(p.physical.as_micros());
+                    let dlogical = i64::from(stamp.logical) - i64::from(p.logical);
+                    put_varint(zigzag(dphys), &mut out);
+                    put_varint(zigzag(dlogical), &mut out);
+                    *p = *stamp;
                 }
                 v => {
                     let bits = int_bits(v)
@@ -326,6 +344,18 @@ pub fn decode_block(payload: &[u8], dict: &DescriptorDict) -> Result<Vec<EventRe
                         return Err(BriskError::Codec("trailing trace bytes in block".into()));
                     }
                     Value::Trace(ctx)
+                }
+                ValueType::Hlc => {
+                    let PrevField::Hlc(p) = prev else {
+                        return Err(BriskError::Codec("field state mismatch".into()));
+                    };
+                    let dphys = unzigzag(get_varint(payload, &mut pos)?);
+                    let dlogical = unzigzag(get_varint(payload, &mut pos)?);
+                    let logical = u32::try_from(i64::from(p.logical).wrapping_add(dlogical))
+                        .map_err(|_| BriskError::Codec("X_HLC logical out of range".into()))?;
+                    let physical = p.physical.as_micros().wrapping_add(dphys);
+                    *p = HlcStamp::new(UtcMicros::from_micros(physical), logical);
+                    Value::Hlc(*p)
                 }
                 ty => {
                     let PrevField::Num(p) = prev else {

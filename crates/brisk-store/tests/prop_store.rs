@@ -40,6 +40,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(|us| Value::Ts(UtcMicros::from_micros(us))),
         any::<u64>().prop_map(|id| Value::Reason(CorrelationId(id))),
         any::<u64>().prop_map(|id| Value::Conseq(CorrelationId(id))),
+        (any::<i64>(), any::<u32>())
+            .prop_map(|(p, l)| Value::Hlc(HlcStamp::new(UtcMicros::from_micros(p), l))),
     ]
 }
 

@@ -73,7 +73,7 @@ pub fn encode_record_body(rec: &EventRecord, e: &mut XdrEncoder) {
     e.uint(rec.event_type.raw());
     e.uhyper(rec.seq);
     e.hyper(rec.ts.as_micros());
-    e.opaque(&rec.descriptor().pack());
+    e.opaque(rec.packed_descriptor().as_bytes());
     for f in &rec.fields {
         encode_value(f, e);
     }
@@ -86,14 +86,14 @@ pub fn decode_record_body(node: NodeId, d: &mut XdrDecoder<'_>) -> Result<EventR
     let seq = d.uhyper()?;
     let ts = UtcMicros::from_micros(d.hyper()?);
     let packed = d.opaque_bounded(16)?;
-    let (desc, used) = RecordDescriptor::unpack(packed)?;
+    let (types, used) = RecordDescriptor::unpack_types(packed)?;
     if used != packed.len() {
         return Err(BriskError::Codec(
             "descriptor opaque has trailing bytes".into(),
         ));
     }
-    let mut fields = Vec::with_capacity(desc.len());
-    for &vt in desc.types() {
+    let mut fields = Vec::with_capacity(types.as_slice().len());
+    for &vt in types.as_slice() {
         fields.push(decode_value(vt, d)?);
     }
     EventRecord::new(node, sensor, event_type, seq, ts, fields)

@@ -207,6 +207,73 @@ fn compaction_shrinks_cold_segments_and_preserves_replay() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A causal-mode ISM stamps every delivered record with `X_HLC`; the
+/// compactor must carry those stamps through its block format so the
+/// compacted store reads back exactly what the live one held.
+#[test]
+fn compaction_round_trips_a_causal_mode_store() {
+    let dir = temp_dir("causal");
+    let cfg = IsmConfig {
+        order_mode: brisk::core::OrderMode::Causal,
+        sorter: SorterConfig {
+            initial_frame_us: 0,
+            min_frame_us: 0,
+            ..SorterConfig::default()
+        },
+        store: store_cfg(&dir),
+        ..IsmConfig::default()
+    };
+    {
+        let mut core = IsmCore::new(cfg).unwrap();
+        for b in 0..40u64 {
+            for node in 1..=2u32 {
+                let batch: Vec<EventRecord> = (0..25)
+                    .map(|i| {
+                        let seq = b * 25 + i;
+                        let mut r = rec(node, 0, seq, 1_000 + seq as i64 * 10);
+                        // Node 1 stamps at its EXS (with a logical tail on
+                        // every third record); node 2 arrives unstamped
+                        // and is stamped by the merge plane.
+                        if node == 1 {
+                            r.set_hlc(HlcStamp::new(r.ts, (seq % 3) as u32));
+                        }
+                        r
+                    })
+                    .collect();
+                let now = UtcMicros::from_micros(1_000 + (b as i64 + 1) * 250);
+                core.push_batch_seq(NodeId(node), Some(b + 1), batch, now)
+                    .unwrap();
+            }
+            core.tick(UtcMicros::from_micros(1_000_000)).unwrap();
+        }
+        core.drain_all().unwrap();
+    }
+    let (before, _) = StoreReader::open(&dir).unwrap().read_all().unwrap();
+    assert_eq!(before.len(), 2_000);
+    assert!(
+        before.iter().all(|r| r.hlc().is_some()),
+        "causal output is stamped"
+    );
+
+    let report = Compactor::new(
+        &dir,
+        CompactConfig {
+            keep_hot: 0,
+            ..Default::default()
+        },
+    )
+    .run_once()
+    .unwrap();
+    assert!(
+        report.compacted > 0,
+        "causal segments must compact: {report:?}"
+    );
+    let (after, rep) = StoreReader::open(&dir).unwrap().read_all().unwrap();
+    assert_eq!(rep.corrupt_frames, 0);
+    assert_eq!(after, before, "X_HLC stamps survive compaction");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The `brisk-query` binary end to end: select with pruning stats,
 /// windowed aggregation, and compaction via the CLI.
 #[test]
