@@ -57,9 +57,18 @@ impl SkewSample {
     /// Estimated slave−master skew: the slave's reading minus the master's
     /// midpoint estimate of when the slave read its clock (Cristian's
     /// interpolation).
-    pub fn skew_us(&self) -> i64 {
-        let midpoint = self.t_master_send.as_micros() + self.rtt_us() / 2;
-        self.t_slave.as_micros() - midpoint
+    ///
+    /// `None` when the reply cannot be a clock reading: its slave time
+    /// sits on a bound of the time type (`UtcMicros::MAX` is the drain
+    /// sentinel, and saturated arithmetic lands on either bound), or the
+    /// skew does not fit in `i64`. The slave time is outside input.
+    pub fn skew_us(&self) -> Option<i64> {
+        let slave = self.t_slave.as_micros();
+        if slave == i64::MAX || slave == i64::MIN {
+            return None;
+        }
+        let midpoint = i128::from(self.t_master_send.as_micros()) + i128::from(self.rtt_us()) / 2;
+        i64::try_from(i128::from(slave) - midpoint).ok()
     }
 }
 
@@ -81,7 +90,9 @@ pub struct SkewEstimate {
 /// Samples whose RTT exceeds twice the round's minimum are discarded as
 /// network noise (a queued packet inflates the interpolation error bound by
 /// its extra delay); the rest are averaged, following the paper's "repeated
-/// a number of times for each slave to average the results".
+/// a number of times for each slave to average the results". A sample
+/// with a negative RTT or without a usable skew ([`SkewSample::skew_us`])
+/// rejects the node's whole set.
 pub fn estimate_skew(node: NodeId, samples: &[SkewSample]) -> Result<SkewEstimate> {
     if samples.is_empty() {
         return Err(BriskError::Sync(format!("no samples for node {node}")));
@@ -91,15 +102,21 @@ pub fn estimate_skew(node: NodeId, samples: &[SkewSample]) -> Result<SkewEstimat
             "negative RTT in samples for node {node}"
         )));
     }
+    if samples.iter().any(|s| s.skew_us().is_none()) {
+        return Err(BriskError::Sync(format!(
+            "slave time out of range in samples for node {node}"
+        )));
+    }
     let min_rtt = samples.iter().map(SkewSample::rtt_us).min().unwrap();
     let cutoff = (min_rtt * 2).max(min_rtt + 1);
     let used: Vec<i64> = samples
         .iter()
         .filter(|s| s.rtt_us() <= cutoff)
-        .map(SkewSample::skew_us)
+        .filter_map(SkewSample::skew_us)
         .collect();
-    let sum: i64 = used.iter().sum();
-    let skew = sum / used.len() as i64;
+    // Summed wide: the mean of `i64`s always fits, their sum need not.
+    let sum: i128 = used.iter().map(|&s| i128::from(s)).sum();
+    let skew = (sum / used.len() as i128) as i64;
     Ok(SkewEstimate {
         node,
         skew_us: skew,
@@ -145,16 +162,20 @@ fn plan_original(estimates: &[SkewEstimate]) -> SyncOutcome {
         .iter()
         .map(|e| Correction {
             node: e.node,
-            advance_us: -e.skew_us,
+            advance_us: e.skew_us.saturating_neg(),
         })
         .collect();
-    let max_abs = estimates.iter().map(|e| e.skew_us.abs()).max().unwrap_or(0);
+    let max_abs = estimates
+        .iter()
+        .map(|e| e.skew_us.saturating_abs())
+        .max()
+        .unwrap_or(0);
     let avg = if estimates.is_empty() {
         0.0
     } else {
         estimates
             .iter()
-            .map(|e| e.skew_us.abs() as f64)
+            .map(|e| e.skew_us.unsigned_abs() as f64)
             .sum::<f64>()
             / estimates.len() as f64
     };
@@ -182,10 +203,14 @@ fn plan_brisk(cfg: &SyncConfig, estimates: &[SkewEstimate]) -> SyncOutcome {
         };
     }
     // Relative skews are measured against the most-ahead clock, hence all
-    // non-negative ("as absolute values").
+    // non-negative ("as absolute values"). Computed wide and saturated: a
+    // difference of two `i64` skews need not fit in one.
     let rel: Vec<(NodeId, i64)> = others
         .iter()
-        .map(|e| (e.node, reference.skew_us - e.skew_us))
+        .map(|e| {
+            let r = i128::from(reference.skew_us) - i128::from(e.skew_us);
+            (e.node, i64::try_from(r).unwrap_or(i64::MAX))
+        })
         .collect();
     let avg = rel.iter().map(|&(_, r)| r as f64).sum::<f64>() / rel.len() as f64;
     let max_rel = rel.iter().map(|&(_, r)| r).max().unwrap_or(0);
@@ -392,17 +417,15 @@ impl SyncMaster {
     }
 
     /// Close the round: estimate skews and plan corrections. Slaves that
-    /// produced no usable samples this round are skipped (they keep their
-    /// previous correction).
+    /// produced no usable samples this round (none arrived, or
+    /// [`estimate_skew`] rejected them) are skipped: they keep their
+    /// previous correction and cannot steer anyone else's.
     pub fn finish_round(&mut self) -> Result<SyncOutcome> {
-        let mut estimates = Vec::with_capacity(self.samples.len());
-        for (&node, samples) in &self.samples {
-            match estimate_skew(node, samples) {
-                Ok(e) => estimates.push(e),
-                Err(_) if samples.is_empty() => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let estimates: Vec<SkewEstimate> = self
+            .samples
+            .iter()
+            .filter_map(|(&node, samples)| estimate_skew(node, samples).ok())
+            .collect();
         let outcome = plan_corrections(&self.cfg, &estimates);
         self.rounds_completed += 1;
         if let Some(t) = &self.telemetry {
@@ -490,7 +513,7 @@ mod tests {
         };
         assert_eq!(s.rtt_us(), 200);
         // Midpoint 1100, slave says 1300 → +200 skew.
-        assert_eq!(s.skew_us(), 200);
+        assert_eq!(s.skew_us(), Some(200));
     }
 
     #[test]
@@ -521,6 +544,69 @@ mod tests {
             t_master_recv: UtcMicros::from_micros(5),
         };
         assert!(estimate_skew(NodeId(1), &[bad]).is_err());
+    }
+
+    #[test]
+    fn estimate_survives_extreme_slave_times() {
+        let mk = |slave_us: i64| SkewSample {
+            t_master_send: UtcMicros::from_micros(1_000_000),
+            t_slave: UtcMicros::from_micros(slave_us),
+            t_master_recv: UtcMicros::from_micros(1_000_100),
+        };
+        // The bounds of the time type are never clock readings.
+        assert_eq!(mk(i64::MAX).skew_us(), None);
+        assert_eq!(mk(i64::MIN).skew_us(), None);
+        assert!(estimate_skew(NodeId(1), &[mk(0), mk(i64::MAX)]).is_err());
+        assert!(estimate_skew(NodeId(1), &[mk(i64::MIN)]).is_err());
+        // A skew that does not fit in i64.
+        let behind = SkewSample {
+            t_master_send: UtcMicros::from_micros(i64::MAX - 100),
+            t_slave: UtcMicros::from_micros(i64::MIN + 1),
+            t_master_recv: UtcMicros::from_micros(i64::MAX),
+        };
+        assert_eq!(behind.skew_us(), None);
+        // Skews near the top of the range: their sum overflows an i64,
+        // their mean does not.
+        let near = mk(i64::MAX - 1);
+        let e = estimate_skew(NodeId(1), &[near; 4]).unwrap();
+        assert_eq!(e.skew_us, near.skew_us().unwrap());
+    }
+
+    #[test]
+    fn finish_round_with_one_extreme_node_corrects_no_one() {
+        let base = 1_700_000_000_000_000; // a realistic master clock
+        for extreme in [i64::MAX, i64::MIN] {
+            let mut m = SyncMaster::new(SyncConfig::default()).unwrap();
+            m.begin_round();
+            let mk = |slave_us: i64| SkewSample {
+                t_master_send: UtcMicros::from_micros(base),
+                t_slave: UtcMicros::from_micros(slave_us),
+                t_master_recv: UtcMicros::from_micros(base + 100),
+            };
+            for _ in 0..m.samples_per_slave() {
+                m.add_sample(NodeId(1), mk(base + 50));
+                m.add_sample(NodeId(2), mk(base + 50));
+                m.add_sample(NodeId(3), mk(extreme));
+            }
+            let out = m.finish_round().unwrap();
+            assert_ne!(out.reference, Some(NodeId(3)), "extreme {extreme}");
+            assert!(out.corrections.is_empty(), "extreme {extreme}: {out:?}");
+        }
+    }
+
+    #[test]
+    fn relative_skews_saturate_instead_of_overflowing() {
+        let cfg = SyncConfig::default();
+        let out = plan_corrections(&cfg, &[est(1, i64::MIN + 1), est(2, i64::MAX - 1)]);
+        assert_eq!(out.reference, Some(NodeId(2)));
+        assert_eq!(out.max_rel_skew_us, i64::MAX);
+        assert_eq!(out.corrections[0].advance_us, i64::MAX);
+        let original = SyncConfig {
+            original_cristian: true,
+            ..SyncConfig::default()
+        };
+        let out = plan_corrections(&original, &[est(1, i64::MIN)]);
+        assert_eq!(out.corrections[0].advance_us, i64::MAX);
     }
 
     #[test]

@@ -6,19 +6,40 @@ use brisk_core::{NodeId, SyncConfig, UtcMicros};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn arb_estimates() -> impl Strategy<Value = Vec<SkewEstimate>> {
-    proptest::collection::vec(-1_000_000i64..1_000_000, 1..32).prop_map(|skews| {
-        skews
-            .into_iter()
-            .enumerate()
-            .map(|(i, skew_us)| SkewEstimate {
-                node: NodeId(i as u32),
-                skew_us,
-                min_rtt_us: 100,
-                samples_used: 4,
-            })
-            .collect()
+/// Values at and next to the bounds of `i64`: what a broken or hostile
+/// slave's reply can put into the master's arithmetic.
+const EXTREMES: [i64; 4] = [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX];
+
+/// Mostly ordinary microsecond values, one in eight extreme.
+fn arb_extreme_or(ordinary: std::ops::Range<i64>) -> impl Strategy<Value = i64> {
+    (0u32..8, ordinary).prop_map(|(pick, v)| {
+        if pick == 0 {
+            EXTREMES[v.rem_euclid(4) as usize]
+        } else {
+            v
+        }
     })
+}
+
+fn arb_estimates() -> impl Strategy<Value = Vec<SkewEstimate>> {
+    proptest::collection::vec(arb_extreme_or(-1_000_000..1_000_000), 1..32).prop_map(estimates_from)
+}
+
+fn arb_ordinary_estimates() -> impl Strategy<Value = Vec<SkewEstimate>> {
+    proptest::collection::vec(-1_000_000i64..1_000_000, 1..32).prop_map(estimates_from)
+}
+
+fn estimates_from(skews: Vec<i64>) -> Vec<SkewEstimate> {
+    skews
+        .into_iter()
+        .enumerate()
+        .map(|(i, skew_us)| SkewEstimate {
+            node: NodeId(i as u32),
+            skew_us,
+            min_rtt_us: 100,
+            samples_used: 4,
+        })
+        .collect()
 }
 
 proptest! {
@@ -51,7 +72,7 @@ proptest! {
         for c in &out.corrections {
             let old = estimates.iter().find(|e| e.node == c.node).unwrap().skew_us;
             prop_assert!(
-                old + c.advance_us <= ref_skew,
+                i128::from(old) + i128::from(c.advance_us) <= i128::from(ref_skew),
                 "node {} corrected past the reference: {} + {} > {}",
                 c.node, old, c.advance_us, ref_skew
             );
@@ -60,7 +81,7 @@ proptest! {
 
     /// Original Cristian drives every slave exactly onto the master.
     #[test]
-    fn original_cristian_zeroes_skews(estimates in arb_estimates()) {
+    fn original_cristian_zeroes_skews(estimates in arb_ordinary_estimates()) {
         let cfg = SyncConfig { original_cristian: true, ..SyncConfig::default() };
         let out = plan_corrections(&cfg, &estimates);
         prop_assert_eq!(out.corrections.len(), estimates.len());
@@ -118,6 +139,42 @@ proptest! {
         let est = estimate_skew(NodeId(0), &[sample]).unwrap();
         let err = (est.skew_us - offset).abs();
         prop_assert!(err <= (d1 + d2) / 2 + 1, "err {} rtt {}", err, d1 + d2);
+    }
+
+    /// A round over slave times that may sit on or next to the bounds of
+    /// `i64` never panics, only advances clocks, and never lets a reply
+    /// that is no clock reading steer the round.
+    #[test]
+    fn extreme_slave_times_never_overflow_a_round(
+        slaves in proptest::collection::vec(arb_extreme_or(-1_000_000..1_000_000), 1..8),
+        base in 0i64..2_000_000_000_000_000,
+        rtt in 0i64..10_000,
+    ) {
+        let mut master = SyncMaster::new(SyncConfig::default()).unwrap();
+        master.begin_round();
+        for (i, &offset) in slaves.iter().enumerate() {
+            let t_slave = if EXTREMES.contains(&offset) {
+                offset
+            } else {
+                base + rtt / 2 + offset
+            };
+            for _ in 0..master.samples_per_slave() {
+                master.add_sample(NodeId(i as u32), SkewSample {
+                    t_master_send: UtcMicros::from_micros(base),
+                    t_slave: UtcMicros::from_micros(t_slave),
+                    t_master_recv: UtcMicros::from_micros(base + rtt),
+                });
+            }
+        }
+        let out = master.finish_round().unwrap();
+        let bound = |i: u32| matches!(slaves[i as usize], i64::MIN | i64::MAX);
+        for c in &out.corrections {
+            prop_assert!(c.advance_us >= 0, "negative advance {:?}", c);
+            prop_assert!(!bound(c.node.raw()), "sentinel reply corrected: {:?}", c);
+        }
+        if let Some(r) = out.reference {
+            prop_assert!(!bound(r.raw()), "sentinel reply elected reference {}", r);
+        }
     }
 
     /// End-to-end: for any initial offsets, repeated rounds with perfect

@@ -5,11 +5,12 @@
 //! the [`crate::merge::MergePlane`], and then — instead of delivering to
 //! local sinks — re-exports the merged stream to a parent ISM *as if it
 //! were a single EXS*. The [`UpstreamExporter`] here is that synthetic
-//! EXS: it speaks the same v3 Hello/EventBatch/BatchAck/credit protocol,
-//! keeps its own bounded retransmit window, replays unacked batches
-//! across reconnects, answers the parent's sync polls, and heartbeats on
-//! idle links so the parent's liveness sweep never falsely evicts a
-//! quiet subtree.
+//! EXS: it rewrites and batches the merged records and hands each batch
+//! to the same [`Uplink`] an EXS ships through, which keeps the send
+//! window, replays it across reconnects, follows the parent's credit,
+//! answers its sync polls and heartbeats on idle links so the parent's
+//! liveness sweep never falsely evicts a quiet subtree. Unlike an EXS, a
+//! relay redials after an upstream `Shutdown`.
 //!
 //! Namespacing: every record is rewritten through the relay's
 //! [`NodePrefix`] before it leaves (node id plus CRE reason/conseq
@@ -30,21 +31,13 @@
 use crate::merge::MergeOutput;
 use brisk_clock::{Clock, CorrectedClock};
 use brisk_core::{EventRecord, Result, UtcMicros};
-use brisk_lis::batch::{Batcher, SendWindow};
-use brisk_net::Connection;
-use brisk_proto::{Message, NodePrefix};
-use brisk_telemetry::{Histogram, Registry};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use brisk_lis::batch::Batcher;
+use brisk_lis::uplink::{Backoff, ConnectFn, LinkEvent, Uplink, UplinkTelemetry};
+use brisk_proto::NodePrefix;
+use brisk_telemetry::Registry;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Factory for upstream connections, invoked on every (re)connect.
-pub type ConnectFn = Box<dyn Fn() -> Result<Box<dyn Connection>> + Send>;
-
-/// Undecodable inbound control frames tolerated per connection before it
-/// is declared broken (mirrors the EXS-side budget).
-const CONTROL_ERROR_BUDGET: u32 = 8;
 
 /// Knobs of one relay's upstream link.
 #[derive(Clone, Debug)]
@@ -68,10 +61,8 @@ pub struct RelayConfig {
     /// parent's `--node-timeout` sweep from evicting a subtree that is
     /// merely quiet: the relay synthesizes its subtree's liveness.
     pub heartbeat_interval: Duration,
-    /// First reconnect delay after a link failure.
-    pub reconnect_initial: Duration,
-    /// Reconnect delay cap (doubling backoff in between).
-    pub reconnect_max: Duration,
+    /// Delay between reconnect attempts after a link failure.
+    pub reconnect: Backoff,
 }
 
 impl RelayConfig {
@@ -84,8 +75,10 @@ impl RelayConfig {
             flush_timeout: Duration::from_millis(5),
             window_batches: 1024,
             heartbeat_interval: Duration::from_millis(500),
-            reconnect_initial: Duration::from_millis(20),
-            reconnect_max: Duration::from_secs(2),
+            reconnect: Backoff {
+                initial: Duration::from_millis(20),
+                max: Duration::from_secs(2),
+            },
         }
     }
 }
@@ -97,9 +90,9 @@ pub struct RelayStats {
     pub connects: u64,
     /// `HelloAck`s received (connections the parent actually answered).
     pub hello_acks: u64,
-    /// Batches shipped upstream (first transmissions).
+    /// Batches shipped upstream (counted once, on entering the window).
     pub batches_exported: u64,
-    /// Records shipped upstream (first transmissions).
+    /// Records shipped upstream (counted once, on entering the window).
     pub records_exported: u64,
     /// Batches replayed from the window after a reconnect.
     pub batches_retransmitted: u64,
@@ -123,193 +116,143 @@ pub struct RelayStats {
 
 /// Shared atomic backing for [`RelayStats`] plus the link gauges, so a
 /// telemetry registry (and tests) can observe a live exporter from
-/// another thread without locking.
+/// another thread without locking. The link counters live in the
+/// [`UplinkTelemetry`] the exporter's uplink bumps.
 #[derive(Debug, Default)]
 pub struct RelayTelemetry {
-    connects: AtomicU64,
-    hello_acks: AtomicU64,
-    batches_exported: AtomicU64,
-    records_exported: AtomicU64,
-    batches_retransmitted: AtomicU64,
-    acks_received: AtomicU64,
-    heartbeats_sent: AtomicU64,
-    window_evicted: AtomicU64,
+    link: Arc<UplinkTelemetry>,
     rewrite_errors: AtomicU64,
-    decode_errors: AtomicU64,
-    adjustments: AtomicU64,
     credit_stalls: AtomicU64,
-    /// 1 while the upstream link is connected.
-    connected: AtomicU64,
-    /// Current retransmit-window occupancy (batches).
-    window_depth: AtomicU64,
-    /// Granted credit minus unacked in-flight records (0 while credit is
-    /// off).
-    credit_balance: AtomicI64,
-    /// Batch ship → cumulative ack covering it, in µs (the per-tier
-    /// relay delivery latency).
-    ack_latency_us: Arc<Histogram>,
 }
 
 impl RelayTelemetry {
     /// Materialize the plain [`RelayStats`] view.
     pub fn stats(&self) -> RelayStats {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let l = self.link.stats();
         RelayStats {
-            connects: ld(&self.connects),
-            hello_acks: ld(&self.hello_acks),
-            batches_exported: ld(&self.batches_exported),
-            records_exported: ld(&self.records_exported),
-            batches_retransmitted: ld(&self.batches_retransmitted),
-            acks_received: ld(&self.acks_received),
-            heartbeats_sent: ld(&self.heartbeats_sent),
-            window_evicted: ld(&self.window_evicted),
-            rewrite_errors: ld(&self.rewrite_errors),
-            decode_errors: ld(&self.decode_errors),
-            adjustments: ld(&self.adjustments),
-            credit_stalls: ld(&self.credit_stalls),
+            connects: l.connects,
+            hello_acks: l.hello_acks,
+            batches_exported: l.batches_sent,
+            records_exported: l.records_sent,
+            batches_retransmitted: l.batches_retransmitted,
+            acks_received: l.acks_received,
+            heartbeats_sent: l.heartbeats_sent,
+            window_evicted: l.window_evicted,
+            rewrite_errors: self.rewrite_errors.load(Ordering::Relaxed),
+            decode_errors: l.decode_errors,
+            adjustments: l.adjustments,
+            credit_stalls: self.credit_stalls.load(Ordering::Relaxed),
         }
-    }
-
-    /// True while the upstream link is up.
-    pub fn connected(&self) -> bool {
-        self.connected.load(Ordering::Relaxed) == 1
-    }
-
-    /// The ship→ack latency histogram.
-    pub fn ack_latency_us(&self) -> &Histogram {
-        &self.ack_latency_us
     }
 
     /// Register every relay series with `registry`, labeled by prefix.
     pub fn bind(self: &Arc<Self>, prefix: NodePrefix, registry: &Registry) {
-        type Field = fn(&RelayTelemetry) -> &AtomicU64;
+        type Field = fn(&RelayStats) -> u64;
         let p = prefix.raw().to_string();
         let counters: [(&str, &str, Field); 12] = [
             (
                 "brisk_relay_connects_total",
                 "Upstream connections established (including reconnects)",
-                |t| &t.connects,
+                |s| s.connects,
             ),
             (
                 "brisk_relay_hello_acks_total",
                 "HelloAcks received from the upstream ISM",
-                |t| &t.hello_acks,
+                |s| s.hello_acks,
             ),
             (
                 "brisk_relay_exported_batches_total",
-                "Merged batches shipped upstream (first transmissions)",
-                |t| &t.batches_exported,
+                "Merged batches shipped upstream (counted once, on entering the retransmit window)",
+                |s| s.batches_exported,
             ),
             (
                 "brisk_relay_exported_records_total",
-                "Merged records shipped upstream (first transmissions)",
-                |t| &t.records_exported,
+                "Merged records shipped upstream (counted once, on entering the retransmit window)",
+                |s| s.records_exported,
             ),
             (
                 "brisk_relay_retransmitted_batches_total",
                 "Batches replayed from the retransmit window after reconnect",
-                |t| &t.batches_retransmitted,
+                |s| s.batches_retransmitted,
             ),
             (
                 "brisk_relay_acks_total",
                 "Batch acknowledgements received from the upstream ISM",
-                |t| &t.acks_received,
+                |s| s.acks_received,
             ),
             (
                 "brisk_relay_heartbeats_total",
                 "Liveness heartbeats sent upstream on idle links",
-                |t| &t.heartbeats_sent,
+                |s| s.heartbeats_sent,
             ),
             (
                 "brisk_relay_window_evicted_total",
                 "Unacked batches evicted from a full retransmit window",
-                |t| &t.window_evicted,
+                |s| s.window_evicted,
             ),
             (
                 "brisk_relay_rewrite_errors_total",
                 "Records dropped because the namespace rewrite overflowed",
-                |t| &t.rewrite_errors,
+                |s| s.rewrite_errors,
             ),
             (
                 "brisk_relay_decode_errors_total",
                 "Inbound upstream control frames that failed to decode",
-                |t| &t.decode_errors,
+                |s| s.decode_errors,
             ),
             (
                 "brisk_relay_adjustments_total",
                 "Clock adjustments applied from upstream sync rounds",
-                |t| &t.adjustments,
+                |s| s.adjustments,
             ),
             (
                 "brisk_relay_credit_stalls_total",
                 "Release pauses because the upstream credit budget was spent",
-                |t| &t.credit_stalls,
+                |s| s.credit_stalls,
             ),
         ];
         for (name, help, get) in counters {
             let me = Arc::clone(self);
-            registry.counter_fn(name, help, &[("prefix", &p)], move || {
-                get(&me).load(Ordering::Relaxed)
-            });
+            registry.counter_fn(name, help, &[("prefix", &p)], move || get(&me.stats()));
         }
-        let me = Arc::clone(self);
+        let link = Arc::clone(&self.link);
         registry.gauge_fn(
             "brisk_relay_upstream_connected",
             "1 while the upstream link is established",
             &[("prefix", &p)],
-            move || me.connected.load(Ordering::Relaxed) as i64,
+            move || link.connected() as i64,
         );
-        let me = Arc::clone(self);
+        let link = Arc::clone(&self.link);
         registry.gauge_fn(
             "brisk_relay_window_depth",
             "Sent-but-unacked upstream batches held for replay",
             &[("prefix", &p)],
-            move || me.window_depth.load(Ordering::Relaxed) as i64,
+            move || link.window_depth() as i64,
         );
-        let me = Arc::clone(self);
+        let link = Arc::clone(&self.link);
         registry.gauge_fn(
             "brisk_relay_upstream_credit",
             "Granted upstream credit minus unacked in-flight records",
             &[("prefix", &p)],
-            move || me.credit_balance.load(Ordering::Relaxed),
+            move || link.credit_balance(),
         );
         registry.register_histogram(
             "brisk_relay_ack_latency_us",
             "Upstream batch ship to cumulative ack latency",
             &[("prefix", &p)],
-            &self.ack_latency_us,
+            self.link.ack_latency_us(),
         );
     }
 }
 
-/// The relay's synthetic EXS: batches the merged stream, ships it to the
-/// parent ISM under the relay's own node id, and maintains exactly-once
-/// delivery (send window + replay + the parent's `(node, seq)` dedup)
-/// across link failures.
+/// The relay's synthetic EXS: rewrites and batches the merged stream and
+/// ships it to the parent ISM over an [`Uplink`] under the relay's own
+/// node id, which keeps delivery exactly-once (send window + replay + the
+/// parent's `(node, seq)` dedup) across link failures.
 pub struct UpstreamExporter {
     cfg: RelayConfig,
-    connect: ConnectFn,
-    conn: Option<Box<dyn Connection>>,
+    link: Uplink,
     batcher: Batcher,
-    /// Survives reconnects: unacked batches replay on the next link.
-    window: SendWindow,
-    /// Absolute in-flight budget the parent re-advertises on every ack;
-    /// `None` = no flow control.
-    credit: Option<u64>,
-    /// Version from the parent's `HelloAck`; gates heartbeats (v3 tag).
-    negotiated: Option<u32>,
-    /// The relay's correction clock, when the parent's sync rounds
-    /// should steer this tier (SyncPoll/SyncAdjust handling).
-    sync_clock: Option<Arc<CorrectedClock<Arc<dyn Clock>>>>,
-    /// Reconnect pacing.
-    backoff: Duration,
-    next_attempt: Instant,
-    /// Heartbeat pacing: wall time of the last frame sent upstream.
-    last_send: Instant,
-    /// Ship time per windowed seq, for the ack-latency histogram.
-    inflight: VecDeque<(u64, Instant)>,
-    control_errors: u32,
-    credit_stalled: bool,
     shared: Arc<RelayTelemetry>,
 }
 
@@ -323,22 +266,19 @@ impl UpstreamExporter {
             flush_timeout: cfg.flush_timeout,
             ..brisk_core::ExsConfig::default()
         };
+        let shared = Arc::new(RelayTelemetry::default());
+        let link = Uplink::new(
+            cfg.prefix.relay_node(),
+            cfg.window_batches,
+            cfg.heartbeat_interval,
+            Arc::clone(&shared.link),
+        )
+        .redial(connect, cfg.reconnect, None);
         UpstreamExporter {
-            conn: None,
-            batcher: Batcher::new(synth),
-            window: SendWindow::new(cfg.window_batches),
-            credit: None,
-            negotiated: None,
-            sync_clock: None,
-            backoff: cfg.reconnect_initial,
-            next_attempt: Instant::now(),
-            last_send: Instant::now(),
-            inflight: VecDeque::new(),
-            control_errors: 0,
-            credit_stalled: false,
-            shared: Arc::default(),
             cfg,
-            connect,
+            link,
+            batcher: Batcher::new(synth),
+            shared,
         }
     }
 
@@ -348,24 +288,13 @@ impl UpstreamExporter {
     /// exporter answers polls with the time the merge plane hands it and
     /// drops adjustments.
     pub fn with_sync_clock(mut self, clock: Arc<CorrectedClock<Arc<dyn Clock>>>) -> Self {
-        self.sync_clock = Some(clock);
+        self.link = self.link.with_sync_clock(clock, true);
         self
-    }
-
-    /// This relay's namespace prefix.
-    pub fn prefix(&self) -> NodePrefix {
-        self.cfg.prefix
     }
 
     /// Counters so far.
     pub fn stats(&self) -> RelayStats {
         self.shared.stats()
-    }
-
-    /// The shared telemetry backing (clone the `Arc` to observe from
-    /// another thread).
-    pub fn telemetry(&self) -> &Arc<RelayTelemetry> {
-        &self.shared
     }
 
     /// Register this exporter's series with a telemetry registry.
@@ -375,300 +304,12 @@ impl UpstreamExporter {
 
     /// True while the upstream link is established.
     pub fn connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    /// The credit budget currently granted by the parent, if any.
-    pub fn credit(&self) -> Option<u64> {
-        self.credit
+        self.link.connected()
     }
 
     /// Sent-but-unacked batches currently held for replay.
     pub fn window_depth(&self) -> usize {
-        self.window.depth()
-    }
-
-    /// True when flow control permits putting more records in flight:
-    /// credit off, or unacked records under budget. An empty window
-    /// always passes (progress guarantee — a zero grant can never
-    /// deadlock the tier).
-    fn credit_open(&self) -> bool {
-        match self.credit {
-            Some(c) => self.window.depth() == 0 || self.window.unacked_records() < c,
-            None => true,
-        }
-    }
-
-    fn mirror_gauges(&self) {
-        self.shared
-            .window_depth
-            .store(self.window.depth() as u64, Ordering::Relaxed);
-        let bal = match self.credit {
-            Some(c) => c as i64 - self.window.unacked_records() as i64,
-            None => 0,
-        };
-        self.shared.credit_balance.store(bal, Ordering::Relaxed);
-        self.shared
-            .connected
-            .store(self.conn.is_some() as u64, Ordering::Relaxed);
-    }
-
-    /// Drop the link and schedule a retry (doubling backoff). The window
-    /// keeps every unacked batch for replay on the next incarnation.
-    fn mark_disconnected(&mut self, why: &str) {
-        if self.conn.take().is_some() {
-            brisk_telemetry::flight_log!(
-                Warn,
-                "relay.upstream",
-                "disconnect",
-                "prefix {} lost its upstream link ({why}); {} unacked batches held for replay",
-                self.cfg.prefix.raw(),
-                self.window.depth()
-            );
-        }
-        self.negotiated = None;
-        self.control_errors = 0;
-        self.next_attempt = Instant::now() + self.backoff;
-        self.backoff = (self.backoff * 2).min(self.cfg.reconnect_max);
-    }
-
-    /// Dial upstream if the link is down and the backoff has elapsed:
-    /// send `Hello` as the relay's own node and immediately replay every
-    /// unacked batch (the parent deduplicates, so replaying batches it
-    /// already processed is harmless).
-    fn ensure_connected(&mut self) {
-        if self.conn.is_some() || Instant::now() < self.next_attempt {
-            return;
-        }
-        let mut conn = match (self.connect)() {
-            Ok(conn) => conn,
-            Err(_) => {
-                self.next_attempt = Instant::now() + self.backoff;
-                self.backoff = (self.backoff * 2).min(self.cfg.reconnect_max);
-                return;
-            }
-        };
-        let hello = Message::Hello {
-            node: self.cfg.prefix.relay_node(),
-            version: brisk_proto::VERSION,
-        };
-        if conn.send(&hello.encode()).is_err() {
-            self.next_attempt = Instant::now() + self.backoff;
-            self.backoff = (self.backoff * 2).min(self.cfg.reconnect_max);
-            return;
-        }
-        self.conn = Some(conn);
-        self.last_send = Instant::now();
-        self.shared.connects.fetch_add(1, Ordering::Relaxed);
-        brisk_telemetry::flight_log!(
-            Info,
-            "relay.upstream",
-            "connect",
-            "prefix {} connected upstream; replaying {} unacked batches",
-            self.cfg.prefix.raw(),
-            self.window.depth()
-        );
-        self.replay_unacked();
-    }
-
-    /// Replay every unacked batch in sequence order, ahead of new
-    /// traffic. Replay deliberately ignores credit: those records were
-    /// already granted in flight by the previous connection.
-    fn replay_unacked(&mut self) {
-        let Some(conn) = &mut self.conn else { return };
-        let failed = self
-            .window
-            .iter_unacked()
-            .any(|(_, frame)| conn.send(frame).is_err());
-        if failed {
-            self.mark_disconnected("send failed during replay");
-            return;
-        }
-        self.shared
-            .batches_retransmitted
-            .fetch_add(self.window.depth() as u64, Ordering::Relaxed);
-        self.last_send = Instant::now();
-    }
-
-    /// Window a fresh batch and ship it. On a dead link the batch simply
-    /// stays windowed; the next reconnect's replay delivers it.
-    fn ship(&mut self, records: Vec<EventRecord>) {
-        let n = records.len() as u64;
-        let pushed = self.window.push(self.cfg.prefix.relay_node(), &records);
-        if pushed.evicted.is_some() {
-            self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
-            brisk_telemetry::flight_log!(
-                Warn,
-                "relay.upstream",
-                "window_evict",
-                "prefix {} evicted an unacked batch from a full window (size {})",
-                self.cfg.prefix.raw(),
-                self.cfg.window_batches
-            );
-        }
-        self.inflight.push_back((pushed.seq, Instant::now()));
-        if let Some(conn) = &mut self.conn {
-            if conn.send(pushed.frame).is_err() {
-                self.mark_disconnected("send failed");
-            } else {
-                self.last_send = Instant::now();
-                self.shared.batches_exported.fetch_add(1, Ordering::Relaxed);
-                self.shared.records_exported.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Drain and answer the parent's control traffic without blocking.
-    fn poll_control(&mut self, now: UtcMicros) {
-        loop {
-            let Some(conn) = &mut self.conn else { return };
-            match conn.recv(Some(Duration::ZERO)) {
-                Ok(Some(frame)) => match Message::decode(&frame) {
-                    Ok(msg) => {
-                        if !self.handle_control(msg, now) {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        self.control_errors += 1;
-                        if self.control_errors > CONTROL_ERROR_BUDGET {
-                            self.mark_disconnected("control decode budget exhausted");
-                            return;
-                        }
-                    }
-                },
-                Ok(None) => return,
-                Err(_) => {
-                    self.mark_disconnected("recv failed");
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Handle one decoded upstream message. Returns `false` when the
-    /// link died while handling it.
-    fn handle_control(&mut self, msg: Message, now: UtcMicros) -> bool {
-        match msg {
-            Message::HelloAck { version, credit } => {
-                self.negotiated = Some(version);
-                // Authoritative for the connection's flow control.
-                self.credit = credit;
-                self.backoff = self.cfg.reconnect_initial;
-                // Idle time before negotiation completed doesn't count
-                // toward the heartbeat deadline — the parent only expects
-                // heartbeats once it has granted v3.
-                self.last_send = Instant::now();
-                self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
-                brisk_telemetry::flight_log!(
-                    Info,
-                    "relay.upstream",
-                    "hello_ack",
-                    "prefix {} upstream negotiated v{version}, credit {credit:?}",
-                    self.cfg.prefix.raw()
-                );
-                if version < 2 {
-                    // The parent will never ack: the window would hold
-                    // batches forever and exactly-once degrades to
-                    // fire-and-forget. Surface it loudly.
-                    brisk_telemetry::flight_log!(
-                        Warn,
-                        "relay.upstream",
-                        "v1_upstream",
-                        "prefix {} upstream speaks v1: no acks, relay delivery degrades to at-most-once",
-                        self.cfg.prefix.raw()
-                    );
-                }
-                true
-            }
-            Message::BatchAck { seq, credit } => {
-                self.window.ack(seq);
-                while let Some(&(s, sent)) = self.inflight.front() {
-                    if s > seq {
-                        break;
-                    }
-                    self.shared
-                        .ack_latency_us
-                        .record(sent.elapsed().as_micros() as u64);
-                    self.inflight.pop_front();
-                }
-                if credit.is_some() {
-                    self.credit = credit;
-                }
-                self.shared.acks_received.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Message::SyncPoll {
-                round,
-                sample,
-                master_send,
-            } => {
-                let slave_time = match &self.sync_clock {
-                    Some(c) => c.now(),
-                    None => now,
-                };
-                let reply = Message::SyncReply {
-                    round,
-                    sample,
-                    master_send,
-                    slave_time,
-                };
-                if let Some(conn) = &mut self.conn {
-                    if conn.send(&reply.encode()).is_err() {
-                        self.mark_disconnected("send failed answering sync poll");
-                        return false;
-                    }
-                    self.last_send = Instant::now();
-                }
-                true
-            }
-            Message::SyncAdjust { advance_us, .. } => {
-                if let Some(c) = &self.sync_clock {
-                    c.adjust(advance_us);
-                    self.shared.adjustments.fetch_add(1, Ordering::Relaxed);
-                }
-                true
-            }
-            Message::Shutdown => {
-                // The parent is retiring this link (eviction, restart).
-                // Treat it like any disconnect: back off and redial.
-                self.mark_disconnected("upstream sent Shutdown");
-                false
-            }
-            // Anything else (a Hello, a batch) is nonsense on an
-            // upstream link; count it against the error budget.
-            _ => {
-                self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                self.control_errors += 1;
-                if self.control_errors > CONTROL_ERROR_BUDGET {
-                    self.mark_disconnected("unexpected upstream traffic");
-                    return false;
-                }
-                true
-            }
-        }
-    }
-
-    /// Heartbeat an idle v3 link so the parent's liveness sweep sees the
-    /// subtree as alive even when no records flow.
-    fn maybe_heartbeat(&mut self) {
-        if self.cfg.heartbeat_interval.is_zero()
-            || self.negotiated.is_none_or(|v| v < 3)
-            || self.conn.is_none()
-        {
-            return;
-        }
-        if self.last_send.elapsed() >= self.cfg.heartbeat_interval {
-            if let Some(conn) = &mut self.conn {
-                if conn.send(&Message::Heartbeat.encode()).is_err() {
-                    self.mark_disconnected("send failed on heartbeat");
-                    return;
-                }
-            }
-            self.last_send = Instant::now();
-            self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
-        }
+        self.link.window_depth()
     }
 }
 
@@ -691,7 +332,7 @@ impl MergeOutput for UpstreamExporter {
             return Ok(());
         }
         if let Some((batch, _reason)) = self.batcher.push(rec, now) {
-            self.ship(batch);
+            self.link.send_batch(&batch);
         }
         Ok(())
     }
@@ -700,34 +341,27 @@ impl MergeOutput for UpstreamExporter {
     /// records. Not-ready parks releases in the merge plane's sorter —
     /// tier-by-tier backpressure instead of an unbounded queue here.
     fn ready(&self) -> bool {
-        self.conn.is_some() && self.credit_open()
+        self.link.ready()
     }
 
-    /// Per-tick housekeeping: reconnect, answer control traffic, flush
-    /// the latency knob, heartbeat, refresh gauges.
+    /// Per-tick housekeeping: (re)dial, answer every pending control
+    /// frame, heartbeat, flush the latency knob.
     fn pump(&mut self, now: UtcMicros) -> Result<()> {
-        self.ensure_connected();
-        self.poll_control(now);
+        loop {
+            match self.link.poll(now, Duration::ZERO)? {
+                LinkEvent::Busy => {}
+                // The parent is retiring this link (eviction, restart):
+                // redial like after any other loss.
+                LinkEvent::Shutdown { .. } => self.link.drop_connection("upstream sent Shutdown"),
+                LinkEvent::Idle | LinkEvent::Lost => break,
+            }
+        }
         if let Some((batch, _reason)) = self.batcher.poll_timeout(now) {
-            self.ship(batch);
+            self.link.send_batch(&batch);
         }
-        self.maybe_heartbeat();
-        let open = self.credit_open();
-        if !open && !self.credit_stalled {
-            self.credit_stalled = true;
+        if self.link.credit_stall() == Some(true) {
             self.shared.credit_stalls.fetch_add(1, Ordering::Relaxed);
-            brisk_telemetry::flight_log!(
-                Warn,
-                "relay.upstream",
-                "credit_stall",
-                "prefix {} pausing releases: upstream credit budget {:?} spent",
-                self.cfg.prefix.raw(),
-                self.credit
-            );
-        } else if open {
-            self.credit_stalled = false;
         }
-        self.mirror_gauges();
         Ok(())
     }
 
@@ -736,35 +370,27 @@ impl MergeOutput for UpstreamExporter {
     /// leaves nothing only-locally-buffered.
     fn flush(&mut self) -> Result<()> {
         if let Some((batch, _reason)) = self.batcher.flush() {
-            self.ship(batch);
+            self.link.send_batch(&batch);
         }
         let deadline = Instant::now() + Duration::from_secs(2);
-        while self.window.depth() > 0 && self.conn.is_some() && Instant::now() < deadline {
-            let Some(conn) = &mut self.conn else { break };
-            match conn.recv(Some(Duration::from_millis(20))) {
-                Ok(Some(frame)) => {
-                    if let Ok(msg) = Message::decode(&frame) {
-                        self.handle_control(msg, UtcMicros::MAX);
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    self.mark_disconnected("recv failed during final drain");
-                    break;
-                }
+        while self.link.window_depth() > 0 && self.link.connected() && Instant::now() < deadline {
+            // A real clock reading, never the drain's `UtcMicros::MAX`: a
+            // sync poll answered here must carry a usable slave time.
+            let polled = self.link.poll(UtcMicros::now(), Duration::from_millis(20));
+            if !matches!(polled, Ok(LinkEvent::Idle | LinkEvent::Busy)) {
+                break;
             }
         }
-        if self.window.depth() > 0 {
+        if self.link.window_depth() > 0 {
             brisk_telemetry::flight_log!(
                 Warn,
                 "relay.upstream",
                 "unacked_at_stop",
                 "prefix {} stopping with {} unacked upstream batches",
                 self.cfg.prefix.raw(),
-                self.window.depth()
+                self.link.window_depth()
             );
         }
-        self.mirror_gauges();
         Ok(())
     }
 }
@@ -773,8 +399,8 @@ impl MergeOutput for UpstreamExporter {
 mod tests {
     use super::*;
     use brisk_core::{EventTypeId, NodeId, SensorId, Value};
-    use brisk_net::{Listener, MemTransport, Transport};
-    use brisk_proto::VERSION;
+    use brisk_net::{Connection, Listener, MemTransport, Transport};
+    use brisk_proto::{Message, VERSION};
 
     fn rec(node: u32, seq: u64, ts: i64) -> EventRecord {
         EventRecord::new(
@@ -813,7 +439,6 @@ mod tests {
         let mut listener = t.listen("up").unwrap();
         let mut cfg = RelayConfig::new(NodePrefix::new(7).unwrap());
         cfg.max_batch_records = 2;
-        cfg.reconnect_initial = Duration::from_millis(1);
         let mut ex = exporter(&t, "up", cfg);
         let now = UtcMicros::from_micros(1_000);
 
@@ -853,12 +478,10 @@ mod tests {
         }
         assert_eq!(ex.window_depth(), 1, "unacked batch stays windowed");
 
-        // Kill the link without acking: the exporter must notice, back
-        // off, redial, and replay the unacked batch.
+        // Kill the link without acking: the exporter must notice, redial
+        // (at once: the parent had served the dead link) and replay the
+        // unacked batch.
         drop(server);
-        ex.pump(now).unwrap();
-        assert!(!ex.connected(), "dead link detected");
-        std::thread::sleep(Duration::from_millis(5));
         ex.pump(now).unwrap();
         let mut server = accept(&mut listener);
         match recv_msg(&mut server) {
@@ -938,14 +561,13 @@ mod tests {
         let mut cfg = RelayConfig::new(NodePrefix::new(2).unwrap());
         cfg.heartbeat_interval = Duration::from_millis(10);
         let mut ex = exporter(&t, "hb", cfg);
-        let now = UtcMicros::from_micros(1_000);
-        ex.pump(now).unwrap();
+        let at = |ms: i64| UtcMicros::from_micros(1_000 + ms * 1_000);
+        ex.pump(at(0)).unwrap();
         let mut server = accept(&mut listener);
         let _hello = recv_msg(&mut server);
         // No HelloAck yet: idle time passes, no heartbeat (the peer may
         // not speak v3).
-        std::thread::sleep(Duration::from_millis(15));
-        ex.pump(now).unwrap();
+        ex.pump(at(15)).unwrap();
         assert_eq!(ex.stats().heartbeats_sent, 0);
         server
             .send(
@@ -956,14 +578,20 @@ mod tests {
                 .encode(),
             )
             .unwrap();
-        ex.pump(now).unwrap();
-        std::thread::sleep(Duration::from_millis(15));
-        ex.pump(now).unwrap();
+        ex.pump(at(15)).unwrap();
+        ex.pump(at(30)).unwrap();
         assert_eq!(ex.stats().heartbeats_sent, 1);
         match recv_msg(&mut server) {
             Message::Heartbeat => {}
             other => panic!("expected Heartbeat, got {other:?}"),
         }
+        // Pacing follows the caller's clock: a backward step adds no idle
+        // time, so it cannot trigger a heartbeat early.
+        ex.pump(at(-5_000)).unwrap();
+        ex.pump(at(-4_995)).unwrap();
+        assert_eq!(ex.stats().heartbeats_sent, 1);
+        ex.pump(at(-4_985)).unwrap();
+        assert_eq!(ex.stats().heartbeats_sent, 2);
     }
 
     #[test]
@@ -1055,5 +683,131 @@ mod tests {
         ex.pump(now).unwrap();
         assert_eq!(clock.correction_us(), 250);
         assert_eq!(ex.stats().adjustments, 1);
+    }
+
+    #[test]
+    fn sync_poll_during_flush_gets_a_real_clock_reading() {
+        // An exporter without a sync clock answers polls with the time it
+        // is handed. The shutdown drain has no pipeline time (the merge
+        // plane passes `UtcMicros::MAX`), so a poll answered there must
+        // still carry a wall-clock reading, or the parent would take this
+        // relay as its most-ahead reference.
+        let t = MemTransport::new();
+        let mut listener = t.listen("drain").unwrap();
+        let mut ex = exporter(&t, "drain", RelayConfig::new(NodePrefix::new(6).unwrap()));
+        let now = UtcMicros::now();
+        ex.pump(now).unwrap();
+        let mut server = accept(&mut listener);
+        let _hello = recv_msg(&mut server);
+        server
+            .send(
+                &Message::HelloAck {
+                    version: VERSION,
+                    credit: None,
+                }
+                .encode(),
+            )
+            .unwrap();
+        ex.pump(now).unwrap();
+        ex.on_record(rec(1, 0, 100), now).unwrap();
+        let parent = std::thread::spawn(move || {
+            assert!(matches!(recv_msg(&mut server), Message::EventBatch { .. }));
+            server
+                .send(
+                    &Message::SyncPoll {
+                        round: 1,
+                        sample: 0,
+                        master_send: UtcMicros::now(),
+                    }
+                    .encode(),
+                )
+                .unwrap();
+            let slave_time = loop {
+                if let Message::SyncReply { slave_time, .. } = recv_msg(&mut server) {
+                    break slave_time;
+                }
+            };
+            server
+                .send(
+                    &Message::BatchAck {
+                        seq: 1,
+                        credit: None,
+                    }
+                    .encode(),
+                )
+                .unwrap();
+            slave_time
+        });
+        ex.flush().unwrap();
+        let slave_time = parent.join().unwrap();
+        let off = slave_time.micros_since(UtcMicros::now()).abs();
+        assert!(
+            off < 1_000_000,
+            "reply {slave_time:?} is {off} µs off the wall clock"
+        );
+    }
+
+    #[test]
+    fn records_windowed_while_the_link_is_down_count_once() {
+        let t = MemTransport::new();
+        let mut listener = t.listen("down").unwrap();
+        let mut cfg = RelayConfig::new(NodePrefix::new(3).unwrap());
+        cfg.max_batch_records = 1;
+        let mut ex = exporter(&t, "down", cfg);
+        let at = |ms: i64| UtcMicros::from_micros(ms * 1_000);
+        ex.pump(at(0)).unwrap();
+        let mut server = accept(&mut listener);
+        let _hello = recv_msg(&mut server);
+        server
+            .send(
+                &Message::HelloAck {
+                    version: VERSION,
+                    credit: None,
+                }
+                .encode(),
+            )
+            .unwrap();
+        ex.pump(at(0)).unwrap();
+        ex.on_record(rec(1, 0, 100), at(0)).unwrap();
+        let _batch = recv_msg(&mut server);
+        // The parent goes away entirely: the link drops and redials fail.
+        drop(server);
+        drop(listener);
+        ex.pump(at(1)).unwrap();
+        assert!(!ex.connected());
+        // Shipped while down: windowed, counted now, replayed later. One
+        // record's ids overflow the namespace and never reach the window.
+        for seq in 1..4 {
+            ex.on_record(rec(1, seq, 100 + seq as i64), at(1)).unwrap();
+        }
+        ex.on_record(rec(1 << 24, 9, 200), at(1)).unwrap();
+        let mut listener = t.listen("down").unwrap();
+        ex.pump(at(10_000)).unwrap();
+        let mut server = accept(&mut listener);
+        let _hello = recv_msg(&mut server);
+        let mut replayed = Vec::new();
+        for _ in 0..4 {
+            match recv_msg(&mut server) {
+                Message::EventBatch { seq, .. } => replayed.push(seq.unwrap()),
+                other => panic!("expected a replayed batch, got {other:?}"),
+            }
+        }
+        assert_eq!(replayed, vec![1, 2, 3, 4]);
+        server
+            .send(
+                &Message::BatchAck {
+                    seq: 4,
+                    credit: None,
+                }
+                .encode(),
+            )
+            .unwrap();
+        ex.pump(at(10_001)).unwrap();
+        let stats = ex.stats();
+        assert_eq!(ex.window_depth(), 0);
+        assert_eq!(stats.rewrite_errors, 1);
+        assert_eq!(stats.records_exported, 5 - stats.rewrite_errors);
+        assert_eq!(stats.batches_exported, 4);
+        assert_eq!(stats.batches_retransmitted, 4);
     }
 }

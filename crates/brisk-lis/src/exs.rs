@@ -4,11 +4,18 @@
 //! on the same node and may be assigned a lower priority" (§3.1). The EXS:
 //!
 //! 1. drains the node's sensor rings,
-//! 2. adds the clock-sync *correction value* to every timestamp (§3.2),
-//! 3. batches records under the latency-control knobs and ships batches to
-//!    the ISM over the transfer protocol (§3.4),
-//! 4. acts as the clock-sync *slave*: answers `SyncPoll`s with its corrected
-//!    time and applies `SyncAdjust`s to the correction value (§3.3).
+//! 2. adds the clock-sync *correction value* to every timestamp (§3.2) and,
+//!    when configured, stamps trace and HLC fields at scoop time,
+//! 3. batches records under the latency-control knobs (§3.4),
+//! 4. hands every batch to its [`Uplink`], the one sender of the transfer
+//!    protocol. The uplink owns the handshake, credit, the retransmit
+//!    window and its replay, heartbeats, reconnects, and the clock-sync
+//!    *slave* role (§3.3): it answers `SyncPoll`s with this EXS's corrected
+//!    time and applies `SyncAdjust`s to its correction value.
+//!
+//! [`ExternalSensor::new`] (and [`spawn_exs`]) run over one connection and
+//! report [`ExsStep::Disconnected`] once it drops; a supervised EXS
+//! ([`crate::supervisor`]) has an uplink that redials instead.
 //!
 //! When there is nothing to do, the EXS parks in a short timed `recv` on
 //! its ISM connection — the "waiting select system call" the paper
@@ -16,21 +23,21 @@
 //! right after the EXS goes to sleep waits out the poll interval, and a
 //! partial batch waits out the flush timeout.
 //!
-//! All EXS *deadlines* (the flush timeout in particular) are measured on
-//! the node's clock, not on wall time, so the whole component is
-//! deterministic under a simulated clock. The flip side: a simulated clock
-//! that stops advancing freezes those deadlines — tests and examples that
-//! drive a `SimClock` must keep advancing it (or call the handle's `stop`,
-//! which force-flushes) for timeout flushes to fire.
+//! All EXS *deadlines* (the flush timeout, heartbeats, reconnect backoff)
+//! are measured on the node's clock, not on wall time, so the whole
+//! component is deterministic under a simulated clock. The flip side: a
+//! simulated clock that stops advancing freezes those deadlines — tests
+//! and examples that drive a `SimClock` must keep advancing it (or call
+//! the handle's `stop`, which force-flushes) for timeout flushes to fire.
 
-use crate::batch::{Batcher, FlushReason, SendWindow};
+use crate::batch::{Batcher, FlushReason};
+use crate::uplink::{LinkEvent, Uplink, UplinkStats, UplinkTelemetry};
 use brisk_clock::{Clock, CorrectedClock, Hlc};
 use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage};
 use brisk_net::Connection;
-use brisk_proto::Message;
 use brisk_ringbuf::RingSet;
 use brisk_telemetry::{Histogram, Registry, StageTimer};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,9 +46,10 @@ use std::time::{Duration, Instant};
 pub struct ExsStats {
     /// Records drained from sensor rings.
     pub records_drained: u64,
-    /// Records sent to the ISM.
+    /// Records handed to the ISM link: counted once, when their batch
+    /// enters the retransmit window, whether or not the link was up.
     pub records_sent: u64,
-    /// Batches sent.
+    /// Batches handed to the ISM link (counted like `records_sent`).
     pub batches_sent: u64,
     /// Batches flushed by the record-count knob.
     pub flush_records: u64,
@@ -58,12 +66,12 @@ pub struct ExsStats {
     /// Sync adjustments ignored because `sync_disabled` is set (chaos
     /// plane: the node's clock is deliberately left to drift).
     pub sync_ignored: u64,
-    /// Cumulative `BatchAck`s received from the ISM (v2 delivery).
+    /// Cumulative `BatchAck`s received from the ISM.
     pub acks_received: u64,
     /// Batches replayed from the retransmit window after a reconnect.
     pub batches_retransmitted: u64,
     /// Unacked batches evicted from a full retransmit window (lost to
-    /// replay; delivery degraded to v1 semantics for those records).
+    /// replay).
     pub window_evicted: u64,
     /// Ring scoops deferred because the ISM's credit budget was spent
     /// (protocol v3 flow control); backpressure is parked in the rings.
@@ -84,33 +92,17 @@ pub struct ExsStats {
 /// Shared atomic backing for [`ExsStats`] plus the EXS's stage
 /// histograms. Lives in an `Arc` so a telemetry registry (and the
 /// spawning thread, via [`ExsHandle`]) can observe a live EXS without
-/// locking: every field is a relaxed atomic the EXS thread bumps in
-/// place of the old plain-struct counters.
+/// locking. The link counters live in the [`UplinkTelemetry`] the EXS's
+/// uplink bumps.
 #[derive(Debug, Default)]
 pub struct ExsTelemetry {
+    link: Arc<UplinkTelemetry>,
     records_drained: AtomicU64,
-    records_sent: AtomicU64,
-    batches_sent: AtomicU64,
     flush_records: AtomicU64,
     flush_bytes: AtomicU64,
     flush_timeout: AtomicU64,
     flush_forced: AtomicU64,
-    sync_replies: AtomicU64,
-    adjustments: AtomicU64,
-    sync_ignored: AtomicU64,
-    acks_received: AtomicU64,
-    batches_retransmitted: AtomicU64,
-    window_evicted: AtomicU64,
     credit_deferrals: AtomicU64,
-    heartbeats_sent: AtomicU64,
-    hello_acks: AtomicU64,
-    decode_errors: AtomicU64,
-    /// Current retransmit-window occupancy (batches), mirrored from the
-    /// EXS thread so a registry gauge can observe it without locking.
-    window_depth: AtomicU64,
-    /// Remaining credit (granted budget − unacked in-flight records),
-    /// mirrored from the EXS thread; 0 while credit is off.
-    credit_balance: AtomicI64,
     busy_nanos: AtomicU64,
     iterations: AtomicU64,
     /// Per-step drain+batch latency in µs, on the node's clock (so it is
@@ -118,53 +110,39 @@ pub struct ExsTelemetry {
     drain_us: Arc<Histogram>,
     /// Records per emitted batch.
     batch_records: Arc<Histogram>,
-    /// Ack lag: unacked batches still in the window when each ack lands.
-    ack_lag: Arc<Histogram>,
 }
 
 impl ExsTelemetry {
     /// Materialize the plain [`ExsStats`] view from the atomics.
     pub fn stats(&self) -> ExsStats {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let l: UplinkStats = self.link.stats();
         ExsStats {
             records_drained: ld(&self.records_drained),
-            records_sent: ld(&self.records_sent),
-            batches_sent: ld(&self.batches_sent),
+            records_sent: l.records_sent,
+            batches_sent: l.batches_sent,
             flush_records: ld(&self.flush_records),
             flush_bytes: ld(&self.flush_bytes),
             flush_timeout: ld(&self.flush_timeout),
             flush_forced: ld(&self.flush_forced),
-            sync_replies: ld(&self.sync_replies),
-            adjustments: ld(&self.adjustments),
-            sync_ignored: ld(&self.sync_ignored),
-            acks_received: ld(&self.acks_received),
-            batches_retransmitted: ld(&self.batches_retransmitted),
-            window_evicted: ld(&self.window_evicted),
+            sync_replies: l.sync_replies,
+            adjustments: l.adjustments,
+            sync_ignored: l.sync_ignored,
+            acks_received: l.acks_received,
+            batches_retransmitted: l.batches_retransmitted,
+            window_evicted: l.window_evicted,
             credit_deferrals: ld(&self.credit_deferrals),
-            heartbeats_sent: ld(&self.heartbeats_sent),
-            hello_acks: ld(&self.hello_acks),
-            decode_errors: ld(&self.decode_errors),
+            heartbeats_sent: l.heartbeats_sent,
+            hello_acks: l.hello_acks,
+            decode_errors: l.decode_errors,
             busy_nanos: ld(&self.busy_nanos),
             iterations: ld(&self.iterations),
         }
     }
 
-    /// `HelloAck`s received so far. A supervisor watches this across a
-    /// reconnect: only a grown count proves the ISM answered the new
-    /// `Hello`, which is the signal that may reset the backoff (a bare
-    /// TCP connect can succeed against a dead-but-listening peer).
-    pub fn hello_acks(&self) -> u64 {
-        self.hello_acks.load(Ordering::Relaxed)
-    }
-
-    /// The drain-latency histogram (µs per step of drain+batch work).
-    pub fn drain_us(&self) -> &Histogram {
-        &self.drain_us
-    }
-
-    /// The batch-size histogram (records per emitted batch).
-    pub fn batch_records(&self) -> &Histogram {
-        &self.batch_records
+    /// The uplink's counters (connections, window, acks, sync).
+    pub(crate) fn link(&self) -> &Arc<UplinkTelemetry> {
+        &self.link
     }
 
     /// Register every EXS series with `registry`, labeled by node:
@@ -172,92 +150,90 @@ impl ExsTelemetry {
     /// `brisk_exs_drain_us` latency histogram and the
     /// `brisk_exs_batch_records` size histogram.
     pub fn bind(self: &Arc<Self>, node: NodeId, registry: &Registry) {
-        type Field = fn(&ExsTelemetry) -> &AtomicU64;
+        type Field = fn(&ExsStats) -> u64;
         let n = node.0.to_string();
         let counters: [(&str, &str, Field); 15] = [
             (
                 "brisk_exs_records_drained_total",
                 "Records drained from sensor rings",
-                |t| &t.records_drained,
+                |s| s.records_drained,
             ),
             (
                 "brisk_exs_records_sent_total",
-                "Records shipped to the ISM",
-                |t| &t.records_sent,
+                "Records handed to the ISM link (counted once, on entering the retransmit window)",
+                |s| s.records_sent,
             ),
             (
                 "brisk_exs_batches_sent_total",
-                "Batches shipped to the ISM",
-                |t| &t.batches_sent,
+                "Batches handed to the ISM link (counted once, on entering the retransmit window)",
+                |s| s.batches_sent,
             ),
-            ("brisk_exs_sync_replies_total", "Sync polls answered", |t| {
-                &t.sync_replies
+            ("brisk_exs_sync_replies_total", "Sync polls answered", |s| {
+                s.sync_replies
             }),
             (
                 "brisk_exs_adjustments_total",
                 "Clock adjustments applied",
-                |t| &t.adjustments,
+                |s| s.adjustments,
             ),
             (
                 "brisk_exs_sync_ignored_total",
                 "Clock adjustments ignored (sync disabled on this node)",
-                |t| &t.sync_ignored,
+                |s| s.sync_ignored,
             ),
             (
                 "brisk_exs_acks_total",
                 "Batch acknowledgements received from the ISM",
-                |t| &t.acks_received,
+                |s| s.acks_received,
             ),
             (
                 "brisk_exs_batches_retransmitted_total",
                 "Batches replayed from the retransmit window after reconnect",
-                |t| &t.batches_retransmitted,
+                |s| s.batches_retransmitted,
             ),
             (
                 "brisk_exs_window_evicted_total",
                 "Unacked batches evicted from a full retransmit window",
-                |t| &t.window_evicted,
+                |s| s.window_evicted,
             ),
             (
                 "brisk_exs_credit_deferred_total",
                 "Ring scoops deferred waiting for ISM credit",
-                |t| &t.credit_deferrals,
+                |s| s.credit_deferrals,
             ),
             (
                 "brisk_exs_heartbeats_sent_total",
                 "Liveness heartbeats sent to the ISM on idle links",
-                |t| &t.heartbeats_sent,
+                |s| s.heartbeats_sent,
             ),
             (
                 "brisk_exs_hello_acks_total",
                 "HelloAcks received (established connections)",
-                |t| &t.hello_acks,
+                |s| s.hello_acks,
             ),
             (
                 "brisk_exs_decode_errors_total",
                 "Inbound control frames that failed to decode and were skipped",
-                |t| &t.decode_errors,
+                |s| s.decode_errors,
             ),
             (
                 "brisk_exs_busy_nanos_total",
                 "Nanoseconds spent working",
-                |t| &t.busy_nanos,
+                |s| s.busy_nanos,
             ),
-            ("brisk_exs_iterations_total", "EXS loop iterations", |t| {
-                &t.iterations
+            ("brisk_exs_iterations_total", "EXS loop iterations", |s| {
+                s.iterations
             }),
         ];
         for (name, help, get) in counters {
             let me = Arc::clone(self);
-            registry.counter_fn(name, help, &[("node", &n)], move || {
-                get(&me).load(Ordering::Relaxed)
-            });
+            registry.counter_fn(name, help, &[("node", &n)], move || get(&me.stats()));
         }
         let reasons: [(&str, Field); 4] = [
-            ("records", |t| &t.flush_records),
-            ("bytes", |t| &t.flush_bytes),
-            ("timeout", |t| &t.flush_timeout),
-            ("forced", |t| &t.flush_forced),
+            ("records", |s| s.flush_records),
+            ("bytes", |s| s.flush_bytes),
+            ("timeout", |s| s.flush_timeout),
+            ("forced", |s| s.flush_forced),
         ];
         for (reason, get) in reasons {
             let me = Arc::clone(self);
@@ -265,7 +241,7 @@ impl ExsTelemetry {
                 "brisk_exs_flush_total",
                 "Batch flushes by triggering knob",
                 &[("node", &n), ("reason", reason)],
-                move || get(&me).load(Ordering::Relaxed),
+                move || get(&me.stats()),
             );
         }
         // Histograms are owned here (the EXS records into them whether
@@ -286,21 +262,21 @@ impl ExsTelemetry {
             "brisk_exs_ack_lag_batches",
             "Unacked batches still windowed when each ack landed",
             &[("node", &n)],
-            &self.ack_lag,
+            self.link.ack_lag(),
         );
-        let me = Arc::clone(self);
+        let link = Arc::clone(&self.link);
         registry.gauge_fn(
             "brisk_exs_retransmit_window_depth",
             "Sent-but-unacked batches held for replay",
             &[("node", &n)],
-            move || me.window_depth.load(Ordering::Relaxed) as i64,
+            move || link.window_depth() as i64,
         );
-        let me = Arc::clone(self);
+        let link = Arc::clone(&self.link);
         registry.gauge_fn(
             "brisk_exs_credit_balance",
             "Granted credit minus unacked in-flight records (0 while credit is off)",
             &[("node", &n)],
-            move || me.credit_balance.load(Ordering::Relaxed),
+            move || link.credit_balance(),
         );
     }
 }
@@ -314,7 +290,7 @@ pub enum ExsStep {
     Idle,
     /// The ISM asked us to shut down (orderly `Shutdown` message).
     Shutdown,
-    /// The connection dropped without an orderly shutdown.
+    /// The connection dropped and this EXS does not redial.
     Disconnected,
 }
 
@@ -323,55 +299,20 @@ pub struct ExternalSensor {
     node: NodeId,
     rings: Arc<RingSet>,
     clock: Arc<CorrectedClock<Arc<dyn Clock>>>,
-    conn: Box<dyn Connection>,
+    link: Uplink,
     cfg: ExsConfig,
     batcher: Batcher,
     shared: Arc<ExsTelemetry>,
     drain_buf: Vec<EventRecord>,
-    /// Retransmit window for v2 acknowledged delivery. `Some` from
-    /// construction (this EXS speaks v2 optimistically); dropped to `None`
-    /// only if the ISM negotiates the connection down to v1, where no acks
-    /// will ever arrive and windowed copies would be dead weight.
-    window: Option<SendWindow>,
-    /// Credit budget granted by the ISM (protocol v3): the maximum number
-    /// of unacked records this EXS may have in flight. `None` = no flow
-    /// control (v1/v2 peer, or credit disabled on the ISM). The ISM
-    /// re-advertises the budget absolutely on `HelloAck` and every
-    /// `BatchAck`.
-    credit: Option<u64>,
-    /// The protocol version the ISM confirmed in its `HelloAck`; `None`
-    /// until one arrives. Heartbeats (a v3 tag) are sent only once this
-    /// proves the peer can decode them.
-    negotiated: Option<u32>,
-    /// Monotonically accumulated raw-clock µs, the heartbeat pacing
-    /// basis. Forward progress of the raw node clock accrues here;
-    /// backward jumps (a stepped or faulted clock) contribute nothing,
-    /// so a misbehaving clock can neither stall heartbeats for the size
-    /// of the jump nor flood them. Sync corrections never touch it —
-    /// pacing reads the *raw* clock, which also keeps it deterministic
-    /// under simulation.
-    pacing_us: i64,
-    /// Last raw-clock reading, to derive forward deltas for `pacing_us`.
-    pacing_raw_us: i64,
-    /// Value of `pacing_us` at the last frame sent, for heartbeat pacing.
-    last_send_us: i64,
     /// Hybrid logical clock, ticked per record at scoop time when
     /// `cfg.stamp_hlc` is set (the stamp rides as `X_HLC`).
     hlc: Arc<Hlc>,
-    /// Undecodable inbound control frames this incarnation; past
-    /// [`CONTROL_ERROR_BUDGET`] the connection is treated as broken.
-    control_errors: u32,
-    /// True while a credit stall is in progress, so the flight recorder
-    /// sees one event per stall instead of one per deferred step.
-    credit_stalled: bool,
 }
 
-/// Undecodable inbound control frames an EXS skips before declaring the
-/// connection corrupt. Mirrors the ISM-side protocol error budget.
-const CONTROL_ERROR_BUDGET: u32 = 8;
-
 impl ExternalSensor {
-    /// Connect-side constructor: sends the `Hello` preamble immediately.
+    /// Connect-side constructor over one open connection: sends the
+    /// `Hello` preamble immediately. When the connection drops, `step`
+    /// reports [`ExsStep::Disconnected`].
     ///
     /// `raw_clock` is the same clock the node's sensors sample; the EXS
     /// wraps it with the correction value it maintains.
@@ -382,180 +323,46 @@ impl ExternalSensor {
         conn: Box<dyn Connection>,
         cfg: ExsConfig,
     ) -> Result<Self> {
-        Self::with_telemetry(node, rings, raw_clock, conn, cfg, Arc::default())
+        let mut exs = Self::with_link(node, rings, raw_clock, cfg, |link| link)?;
+        exs.link.attach(conn, exs.clock.raw_now())?;
+        Ok(exs)
     }
 
-    /// Like [`ExternalSensor::new`], but accumulating into an existing
-    /// telemetry backing. The supervisor uses this so counters keep
-    /// growing across reconnect incarnations instead of resetting.
-    pub fn with_telemetry(
+    /// Build an EXS whose uplink is finished by `link` (given a dialer, or
+    /// left for [`ExternalSensor::new`] to attach a connection to).
+    pub(crate) fn with_link(
         node: NodeId,
         rings: Arc<RingSet>,
         raw_clock: Arc<dyn Clock>,
-        conn: Box<dyn Connection>,
         cfg: ExsConfig,
-        shared: Arc<ExsTelemetry>,
+        link: impl FnOnce(Uplink) -> Uplink,
     ) -> Result<Self> {
         cfg.validate()?;
-        let window = SendWindow::new(cfg.retransmit_window_batches);
-        Self::with_window(node, rings, raw_clock, conn, cfg, shared, window)
-    }
-
-    /// Like [`ExternalSensor::with_telemetry`], but resuming from a
-    /// retransmit window carried over from a previous incarnation: after
-    /// the `Hello` preamble every still-unacked batch is replayed (in
-    /// sequence order, ahead of new traffic) so an abrupt disconnect loses
-    /// nothing. The ISM deduplicates by `(node, seq)`, so replaying batches
-    /// it already processed is harmless.
-    pub fn with_window(
-        node: NodeId,
-        rings: Arc<RingSet>,
-        raw_clock: Arc<dyn Clock>,
-        mut conn: Box<dyn Connection>,
-        cfg: ExsConfig,
-        shared: Arc<ExsTelemetry>,
-        window: SendWindow,
-    ) -> Result<Self> {
-        cfg.validate()?;
-        conn.send(
-            &Message::Hello {
-                node,
-                version: brisk_proto::VERSION,
-            }
-            .encode(),
-        )?;
         let clock = CorrectedClock::new(raw_clock);
-        let pacing_raw_us = clock.raw_now().as_micros();
-        let mut exs = ExternalSensor {
+        let shared = Arc::new(ExsTelemetry::default());
+        let uplink = Uplink::new(
+            node,
+            cfg.retransmit_window_batches,
+            cfg.heartbeat_interval,
+            Arc::clone(&shared.link),
+        )
+        .with_sync_clock(Arc::clone(&clock), !cfg.sync_disabled);
+        Ok(ExternalSensor {
             node,
             rings,
             clock,
-            conn,
+            link: link(uplink),
             batcher: Batcher::new(cfg.clone()),
             cfg,
             shared,
             drain_buf: Vec::with_capacity(512),
-            window: Some(window),
-            credit: None,
-            negotiated: None,
-            pacing_us: 0,
-            pacing_raw_us,
-            last_send_us: 0,
             hlc: Hlc::new(),
-            control_errors: 0,
-            credit_stalled: false,
-        };
-        // Replay deliberately ignores credit: those records were already
-        // granted in-flight by the previous connection, and holding them
-        // back would stall recovery behind acks that cannot arrive yet.
-        exs.replay_unacked()?;
-        Ok(exs)
-    }
-
-    /// The credit budget currently granted by the ISM, if any.
-    pub fn credit(&self) -> Option<u64> {
-        self.credit
-    }
-
-    /// Seed the credit budget (supervisor carry-over): between a
-    /// reconnect's `Hello` and the new `HelloAck`, the previous grant
-    /// keeps pacing the scoop instead of allowing an unbounded burst. The
-    /// next `HelloAck` overwrites this with the connection's real grant.
-    pub fn set_credit(&mut self, credit: Option<u64>) {
-        self.credit = credit;
-        self.update_credit_balance();
-    }
-
-    /// True when flow control permits scooping new records out of the
-    /// rings: credit is off, or in-flight records are under budget. An
-    /// empty window always passes — even a zero grant can only stop *new*
-    /// traffic while something is in flight, never deadlock the sender
-    /// (progress guarantee: at least one batch may always be outstanding).
-    fn credit_open(&self) -> bool {
-        match (self.credit, &self.window) {
-            (Some(c), Some(w)) => w.depth() == 0 || w.unacked_records() < c,
-            _ => true,
-        }
-    }
-
-    /// Mirror the spendable balance into telemetry.
-    fn update_credit_balance(&self) {
-        let bal = match (self.credit, &self.window) {
-            (Some(c), Some(w)) => c as i64 - w.unacked_records() as i64,
-            _ => 0,
-        };
-        self.shared.credit_balance.store(bal, Ordering::Relaxed);
-    }
-
-    /// Replay every unacked batch from the window. Counts replays but not
-    /// `records_sent`/`batches_sent` — those were counted on first send.
-    fn replay_unacked(&mut self) -> Result<()> {
-        let Some(w) = &self.window else {
-            return Ok(());
-        };
-        for (_, frame) in w.iter_unacked() {
-            self.conn.send(frame)?;
-        }
-        let replayed = w.depth() as u64;
-        self.shared
-            .batches_retransmitted
-            .fetch_add(replayed, Ordering::Relaxed);
-        self.shared.window_depth.store(replayed, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Tear the EXS apart, keeping its retransmit window (and the
-    /// sequence-number stream) so a supervisor can carry both into the
-    /// next incarnation. `None` if the connection was negotiated to v1.
-    ///
-    /// A partial batch still sitting in the batcher would die with this
-    /// incarnation; it is folded into the window (unsent) so the next
-    /// incarnation's replay delivers it.
-    pub fn into_window(mut self) -> Option<SendWindow> {
-        if self.window.is_some() {
-            if let Some((batch, _reason)) = self.batcher.flush() {
-                self.stash_batch(batch);
-            }
-        }
-        self.window
-    }
-
-    /// Retain a batch in the retransmit window without sending it (the
-    /// connection is already gone); the next incarnation replays it.
-    fn stash_batch(&mut self, records: Vec<EventRecord>) {
-        if let Some(w) = &mut self.window {
-            if w.push(self.node, &records).evicted.is_some() {
-                self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
-            }
-            self.shared
-                .window_depth
-                .store(w.depth() as u64, Ordering::Relaxed);
-        }
+        })
     }
 
     /// The node this EXS serves.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// This EXS's hybrid logical clock (stamps records when
-    /// `cfg.stamp_hlc` is set; always safe to observe).
-    pub fn hlc(&self) -> &Arc<Hlc> {
-        &self.hlc
-    }
-
-    /// Advance and read the monotonic heartbeat-pacing clock: forward
-    /// raw-clock progress accrues, backward jumps are dropped. Correct
-    /// regardless of call frequency — a stale `pacing_raw_us` just means
-    /// the next call accounts the whole span at once.
-    fn pacing_now_us(&mut self) -> i64 {
-        let raw = self.clock.raw_now().as_micros();
-        let delta = raw.saturating_sub(self.pacing_raw_us);
-        self.pacing_raw_us = raw;
-        if delta > 0 {
-            self.pacing_us = self.pacing_us.saturating_add(delta);
-        }
-        self.pacing_us
     }
 
     /// The corrected clock (shared view; records are stamped with raw time
@@ -580,65 +387,15 @@ impl ExternalSensor {
         self.shared.bind(self.node, registry);
     }
 
-    /// Run one iteration: drain, batch, ship, answer control traffic.
-    pub fn step(&mut self) -> Result<ExsStep> {
-        let work_start = Instant::now();
-        self.shared.iterations.fetch_add(1, Ordering::Relaxed);
-
-        // 0. Flow control: with the ISM's credit budget spent, leave new
-        //    records parked in the rings (where overruns land on the
-        //    rings' own drop accounting) instead of piling them into the
-        //    batcher and window. Acks received below reopen the tap.
-        let paused = !self.credit_open();
-        if paused {
-            self.shared.credit_deferrals.fetch_add(1, Ordering::Relaxed);
-            // Only the stall's leading edge lands in the flight recorder;
-            // the per-step counter tracks its duration.
-            if !self.credit_stalled {
-                self.credit_stalled = true;
-                brisk_telemetry::flight_log!(
-                    Warn,
-                    "exs",
-                    "credit_stall",
-                    "node {} deferring ring scoop: credit budget {:?} spent",
-                    self.node,
-                    self.credit
-                );
-            }
-        } else {
-            self.credit_stalled = false;
-        }
-
-        // 1. Drain sensor rings and apply the correction value. The span
-        //    is timed on the node's clock so it is meaningful (and
-        //    deterministic) under simulation.
-        let drain_hist = Arc::clone(&self.shared.drain_us);
-        let drain_timer = StageTimer::start(&drain_hist, self.clock.now().as_micros());
+    /// Correct, stamp and batch one scoop of records, handing every full
+    /// batch to the uplink.
+    fn scoop(&mut self, records: &mut Vec<EventRecord>) {
         // The *effective* correction: while a slew is smearing a backward
         // adjustment, records get the partially applied value, matching
         // the clock the later trace stamps read.
         let correction = self.clock.effective_correction_us();
-        self.drain_buf.clear();
-        let drained = if paused {
-            0
-        } else {
-            self.rings
-                .drain_into(self.cfg.max_batch_records * 2, &mut self.drain_buf)?
-        };
-        self.shared
-            .records_drained
-            .fetch_add(drained as u64, Ordering::Relaxed);
         let now = self.clock.now();
-        let mut pending = std::mem::take(&mut self.drain_buf);
-        // A disconnect mid-scoop must not drop the records already pulled
-        // out of the rings: once the send fails, keep pushing the rest of
-        // the scoop through the batcher and stash every flushed batch in
-        // the retransmit window (unsent), where the next incarnation's
-        // replay picks it up. Without a window (v1 peer) the old
-        // fail-fast loss semantics stand.
-        let mut disconnect: Option<BriskError> = None;
-        let mut fatal: Option<BriskError> = None;
-        for mut rec in pending.drain(..) {
+        for mut rec in records.drain(..) {
             rec.apply_correction(correction);
             // After the correction: scoop time and every later stamp are
             // on the synchronized clock, only the notice stamp was shifted.
@@ -647,41 +404,57 @@ impl ExternalSensor {
                 rec.set_hlc(self.hlc.tick(now));
             }
             if let Some((batch, reason)) = self.batcher.push(rec, now) {
-                if disconnect.is_some() {
-                    self.stash_batch(batch);
-                } else if let Err(e) = self.send_batch(batch, reason) {
-                    if e.is_disconnect() && self.window.is_some() {
-                        disconnect = Some(e);
-                    } else {
-                        fatal = Some(e);
-                        break;
-                    }
-                }
+                self.send_batch(batch, reason);
             }
         }
-        self.drain_buf = pending; // keep the allocation (workhorse buffer)
-        if let Some(e) = fatal.or(disconnect) {
-            return Err(e);
+    }
+
+    /// Run one iteration: drain, batch, ship, answer control traffic.
+    pub fn step(&mut self) -> Result<ExsStep> {
+        let work_start = Instant::now();
+        self.shared.iterations.fetch_add(1, Ordering::Relaxed);
+
+        // 0. Flow control: with the link down or the ISM's credit budget
+        //    spent, leave new records parked in the rings (where overruns
+        //    land on the rings' own drop accounting) instead of piling
+        //    them into the batcher and window. Acks reopen the tap.
+        if self.link.credit_stall().is_some() {
+            self.shared.credit_deferrals.fetch_add(1, Ordering::Relaxed);
         }
+        let paused = !self.link.ready();
+
+        // 1. Drain sensor rings, correct and batch. The span is timed on
+        //    the node's clock so it is meaningful (and deterministic)
+        //    under simulation.
+        let drain_hist = Arc::clone(&self.shared.drain_us);
+        let drain_timer = StageTimer::start(&drain_hist, self.clock.now().as_micros());
+        let mut pending = std::mem::take(&mut self.drain_buf);
+        let drained = if paused {
+            0
+        } else {
+            self.rings
+                .drain_into(self.cfg.max_batch_records * 2, &mut pending)?
+        };
+        self.shared
+            .records_drained
+            .fetch_add(drained as u64, Ordering::Relaxed);
+        self.scoop(&mut pending);
+        self.drain_buf = pending; // keep the allocation (workhorse buffer)
 
         // 2. Latency control: flush a stale partial batch. Deferred while
-        //    credit is spent — the flush would put more records in flight.
+        //    paused — the flush would put more records in flight.
         if !paused {
             if let Some((batch, reason)) = self.batcher.poll_timeout(self.clock.now()) {
-                self.send_batch(batch, reason)?;
+                self.send_batch(batch, reason);
             }
         }
-        // 2b. Liveness: on an idle v3 connection, send a heartbeat so the
-        //     ISM can tell a quiet node from a silently dead one (TCP
-        //     alone reports nothing for minutes).
-        self.maybe_heartbeat()?;
         drain_timer.stop(self.clock.now().as_micros());
 
         // 3. Control traffic. When busy, poll without blocking; when idle,
         //    this wait is the EXS's sleep (bounded by the idle knob and by
         //    the batch deadline so a partial batch cannot oversleep).
-        //    While credit-paused the deadline clamp is skipped — nothing
-        //    may flush anyway, and the sleep is what lets acks arrive.
+        //    While paused the deadline clamp is skipped — nothing may
+        //    flush anyway, and the sleep is what lets acks arrive.
         let busy = drained > 0;
         let wait = if busy {
             Duration::ZERO
@@ -695,164 +468,37 @@ impl ExternalSensor {
             }
             w
         };
+        let event = self.link.poll(self.clock.raw_now(), wait)?;
+        let worked = work_start.elapsed().saturating_sub(self.link.waited());
         self.shared
             .busy_nanos
-            .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let msg = match self.conn.recv(Some(wait)) {
-            // An undecodable control frame (corrupted wire) is counted
-            // and skipped rather than fatal — up to a budget, past which
-            // the connection is declared broken so the supervisor can
-            // rebuild it.
-            Ok(Some(frame)) => match Message::decode(&frame) {
-                Ok(msg) => Some(msg),
-                Err(e) => {
-                    self.control_errors += 1;
-                    self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    if self.control_errors > CONTROL_ERROR_BUDGET {
-                        return Err(e.into());
-                    }
-                    None
-                }
-            },
-            Ok(None) => None,
-            Err(e) if e.is_disconnect() => return Ok(ExsStep::Disconnected),
-            Err(e) => return Err(e),
-        };
-        if let Some(msg) = msg {
-            let handle_start = Instant::now();
-            let outcome = self.handle_control(msg)?;
-            self.shared
-                .busy_nanos
-                .fetch_add(handle_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if outcome == ExsStep::Shutdown {
-                return Ok(ExsStep::Shutdown);
-            }
-            return Ok(ExsStep::Busy);
-        }
-        Ok(if busy { ExsStep::Busy } else { ExsStep::Idle })
-    }
-
-    /// Send a [`Message::Heartbeat`] when the connection has been
-    /// send-idle for a full `heartbeat_interval`. Gated on a `HelloAck`
-    /// that negotiated v3 (older peers cannot decode the tag) and on a
-    /// non-zero interval (zero disables). Any frame sent resets the
-    /// pacing, so heartbeats only ever ride an otherwise-quiet link.
-    fn maybe_heartbeat(&mut self) -> Result<()> {
-        if self.cfg.heartbeat_interval.is_zero() || self.negotiated.is_none_or(|v| v < 3) {
-            return Ok(());
-        }
-        let now_us = self.pacing_now_us();
-        let interval_us = self.cfg.heartbeat_interval.as_micros() as i64;
-        if now_us.saturating_sub(self.last_send_us) >= interval_us {
-            self.conn.send(&Message::Heartbeat.encode())?;
-            self.last_send_us = now_us;
-            self.shared.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    fn handle_control(&mut self, msg: Message) -> Result<ExsStep> {
-        match msg {
-            Message::SyncPoll {
-                round,
-                sample,
-                master_send,
+            .fetch_add(worked.as_nanos() as u64, Ordering::Relaxed);
+        Ok(match event {
+            LinkEvent::Shutdown {
+                rejected_reconnect: true,
             } => {
-                // Reply with the *corrected* local time: slaves converge on
-                // each other through their corrections.
-                let reply = Message::SyncReply {
-                    round,
-                    sample,
-                    master_send,
-                    slave_time: self.clock.now(),
-                };
-                self.conn.send(&reply.encode())?;
-                self.last_send_us = self.pacing_now_us();
-                self.shared.sync_replies.fetch_add(1, Ordering::Relaxed);
-                Ok(ExsStep::Busy)
+                // The ISM still holds this node's previous connection and
+                // rejected the reconnect's Hello as a duplicate: retry
+                // after a backoff instead of stopping for good.
+                self.link
+                    .drop_connection("reconnect Hello rejected as a duplicate");
+                ExsStep::Busy
             }
-            Message::SyncAdjust { advance_us, .. } => {
-                if self.cfg.sync_disabled {
-                    // Chaos plane: the node deliberately refuses sync and
-                    // lets its clock run wherever the fault takes it.
-                    self.shared.sync_ignored.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.clock.adjust(advance_us);
-                    self.shared.adjustments.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(ExsStep::Busy)
-            }
-            Message::HelloAck { version, credit } => {
-                // The ISM told us which protocol version the connection
-                // actually runs at. Anything below v2 means no acks will
-                // ever come: drop the window and fall back to the old
-                // fire-and-forget delivery.
-                if version < 2 {
-                    self.window = None;
-                    self.shared.window_depth.store(0, Ordering::Relaxed);
-                }
-                // The HelloAck is authoritative for the connection's flow
-                // control: `None` clears any budget carried over from a
-                // previous incarnation.
-                self.credit = credit;
-                self.update_credit_balance();
-                self.negotiated = Some(version);
-                self.shared.hello_acks.fetch_add(1, Ordering::Relaxed);
-                Ok(ExsStep::Busy)
-            }
-            Message::BatchAck { seq, credit } => {
-                if let Some(w) = &mut self.window {
-                    w.ack(seq);
-                    let depth = w.depth() as u64;
-                    self.shared.window_depth.store(depth, Ordering::Relaxed);
-                    self.shared.ack_lag.record(depth);
-                }
-                // A grant piggybacked on the ack re-advertises the budget
-                // absolutely; a plain (v2-style) ack leaves it untouched.
-                if credit.is_some() {
-                    self.credit = credit;
-                }
-                self.update_credit_balance();
-                self.shared.acks_received.fetch_add(1, Ordering::Relaxed);
-                Ok(ExsStep::Busy)
-            }
-            Message::Shutdown => Ok(ExsStep::Shutdown),
-            other => Err(BriskError::Protocol(format!(
-                "unexpected message at EXS: {other:?}"
-            ))),
-        }
+            LinkEvent::Shutdown { .. } => ExsStep::Shutdown,
+            LinkEvent::Lost => ExsStep::Disconnected,
+            LinkEvent::Busy => ExsStep::Busy,
+            LinkEvent::Idle if busy => ExsStep::Busy,
+            LinkEvent::Idle => ExsStep::Idle,
+        })
     }
 
-    fn send_batch(&mut self, mut records: Vec<EventRecord>, reason: FlushReason) -> Result<()> {
-        let n = records.len() as u64;
+    fn send_batch(&mut self, mut records: Vec<EventRecord>, reason: FlushReason) {
         let send_ts = self.clock.now();
         for rec in records.iter_mut() {
             rec.stamp_trace(TraceStage::BatchSend, send_ts);
         }
-        // v2+: the window encodes the batch once, with its sequence
-        // number, and keeps the frame for replay; a v1 connection has no
-        // window and sends the unsequenced format.
-        match &mut self.window {
-            Some(w) => {
-                let pushed = w.push(self.node, &records);
-                if pushed.evicted.is_some() {
-                    self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                let sent = self.conn.send(pushed.frame);
-                self.shared
-                    .window_depth
-                    .store(w.depth() as u64, Ordering::Relaxed);
-                sent?;
-            }
-            None => self
-                .conn
-                .send(&brisk_proto::encode_batch(self.node, None, &records))?,
-        }
-        self.last_send_us = self.pacing_now_us();
-        self.update_credit_balance();
-        self.shared.records_sent.fetch_add(n, Ordering::Relaxed);
-        self.shared.batches_sent.fetch_add(1, Ordering::Relaxed);
-        self.shared.batch_records.record(n);
+        self.link.send_batch(&records);
+        self.shared.batch_records.record(records.len() as u64);
         let reason_counter = match reason {
             FlushReason::Records => &self.shared.flush_records,
             FlushReason::Bytes => &self.shared.flush_bytes,
@@ -860,7 +506,6 @@ impl ExternalSensor {
             FlushReason::Forced => &self.shared.flush_forced,
         };
         reason_counter.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Run until `stop` is raised or the ISM shuts us down. Flushes pending
@@ -876,34 +521,23 @@ impl ExternalSensor {
     }
 
     /// Orderly teardown: drain the rings, flush everything buffered and
-    /// send `Shutdown`, so no accepted record is lost. Consumes the EXS
-    /// and returns its final stats.
+    /// send `Shutdown`, so no accepted record is lost. On a dead link the
+    /// final batches stay in the retransmit window. Consumes the EXS and
+    /// returns its final stats.
     pub fn finish(mut self) -> Result<ExsStats> {
-        self.drain_buf.clear();
-        let correction = self.clock.effective_correction_us();
-        self.rings.drain_into(usize::MAX, &mut self.drain_buf)?;
+        let mut pending = std::mem::take(&mut self.drain_buf);
+        self.rings.drain_into(usize::MAX, &mut pending)?;
         // The final drain counts too: without this, records that only
         // leave the rings during teardown would vanish from the drained
         // total while still showing up in records_sent.
         self.shared
             .records_drained
-            .fetch_add(self.drain_buf.len() as u64, Ordering::Relaxed);
-        let now = self.clock.now();
-        let pending = std::mem::take(&mut self.drain_buf);
-        for mut rec in pending {
-            rec.apply_correction(correction);
-            rec.stamp_trace(TraceStage::ExsScoop, now);
-            if self.cfg.stamp_hlc {
-                rec.set_hlc(self.hlc.tick(now));
-            }
-            if let Some((batch, reason)) = self.batcher.push(rec, now) {
-                self.send_batch(batch, reason)?;
-            }
-        }
+            .fetch_add(pending.len() as u64, Ordering::Relaxed);
+        self.scoop(&mut pending);
         if let Some((batch, reason)) = self.batcher.flush() {
-            self.send_batch(batch, reason)?;
+            self.send_batch(batch, reason);
         }
-        let _ = self.conn.send(&Message::Shutdown.encode());
+        self.link.goodbye();
         Ok(self.shared.stats())
     }
 }
@@ -918,9 +552,34 @@ pub struct ExsHandle {
 }
 
 impl ExsHandle {
+    /// Run `exs` on a dedicated thread.
+    pub(crate) fn spawn(exs: ExternalSensor) -> Result<ExsHandle> {
+        let node = exs.node;
+        let clock = Arc::clone(&exs.clock);
+        let shared = Arc::clone(&exs.shared);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let join = std::thread::Builder::new()
+            .name(format!("brisk-exs-{node}"))
+            .spawn(move || exs.run(&stop2))
+            .map_err(BriskError::Io)?;
+        Ok(ExsHandle {
+            stop,
+            clock,
+            node,
+            shared,
+            join,
+        })
+    }
+
     /// The EXS's corrected clock (e.g. to observe the correction value).
     pub fn corrected_clock(&self) -> &Arc<CorrectedClock<Arc<dyn Clock>>> {
         &self.clock
+    }
+
+    /// The node the EXS serves.
+    pub(crate) fn node(&self) -> NodeId {
+        self.node
     }
 
     /// Live counters of the running EXS (no need to stop it).
@@ -936,11 +595,6 @@ impl ExsHandle {
     /// Register the running EXS's series with a telemetry registry.
     pub fn bind_telemetry(&self, registry: &Registry) {
         self.shared.bind(self.node, registry);
-    }
-
-    /// Signal the EXS to stop.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
     }
 
     /// Signal and wait for the EXS; returns its final stats.
@@ -961,31 +615,18 @@ pub fn spawn_exs(
     conn: Box<dyn Connection>,
     cfg: ExsConfig,
 ) -> Result<ExsHandle> {
-    let exs = ExternalSensor::new(node, rings, raw_clock, conn, cfg)?;
-    let clock = Arc::clone(exs.corrected_clock());
-    let shared = Arc::clone(exs.telemetry());
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let join = std::thread::Builder::new()
-        .name(format!("brisk-exs-{node}"))
-        .spawn(move || exs.run(&stop2))
-        .map_err(BriskError::Io)?;
-    Ok(ExsHandle {
-        stop,
-        clock,
-        node,
-        shared,
-        join,
-    })
+    ExsHandle::spawn(ExternalSensor::new(node, rings, raw_clock, conn, cfg)?)
 }
 
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)] // single-knob mutation is the point of these tests
 mod tests {
     use super::*;
+    use crate::uplink::CONTROL_ERROR_BUDGET;
     use brisk_clock::{SimClock, SimTimeSource, SystemClock};
     use brisk_core::{EventTypeId, UtcMicros, Value};
     use brisk_net::{LinkModel, MemTransport, Transport};
+    use brisk_proto::Message;
 
     struct Rig {
         exs: ExternalSensor,
@@ -1333,8 +974,7 @@ mod tests {
         r.exs.step().unwrap();
         assert_eq!(r.exs.stats().batches_sent, 3);
         // All three batches are unacked and windowed.
-        let w = r.exs.window.as_ref().unwrap();
-        assert_eq!(w.depth(), 3);
+        assert_eq!(r.exs.link.window_depth(), 3);
 
         // Cumulative ack for seq 2 releases the first two.
         r.ism_side
@@ -1347,15 +987,15 @@ mod tests {
             )
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.window.as_ref().unwrap().depth(), 1);
+        assert_eq!(r.exs.link.window_depth(), 1);
         assert_eq!(r.exs.stats().acks_received, 1);
     }
 
     #[test]
-    fn hello_ack_v1_downgrades_to_unsequenced() {
-        let mut cfg = ExsConfig::default();
-        cfg.max_batch_records = 1;
-        let mut r = rig(cfg, 0);
+    fn hello_ack_below_v2_is_a_protocol_violation() {
+        // A HelloAck confirming v1 promises no acks: the window could
+        // never drain, so the link refuses the connection.
+        let mut r = rig(ExsConfig::default(), 0);
         recv_msg(&mut r.ism_side); // hello
         r.ism_side
             .send(
@@ -1366,80 +1006,8 @@ mod tests {
                 .encode(),
             )
             .unwrap();
-        r.exs.step().unwrap();
-        assert!(r.exs.window.is_none());
-
-        emit_n(&r.rings, 1);
-        r.src.advance_by(10);
-        r.exs.step().unwrap();
-        match recv_msg(&mut r.ism_side) {
-            Message::EventBatch { seq, .. } => assert_eq!(seq, None),
-            other => panic!("expected batch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn carried_window_replays_unacked_batches() {
-        let mut cfg = ExsConfig::default();
-        cfg.max_batch_records = 1;
-        let mut r = rig(cfg.clone(), 0);
-        let shared = Arc::clone(r.exs.telemetry());
-        recv_msg(&mut r.ism_side); // hello
-        emit_n(&r.rings, 2);
-        r.src.advance_by(10);
-        r.exs.step().unwrap();
-        recv_msg(&mut r.ism_side); // batch 1
-        recv_msg(&mut r.ism_side); // batch 2
-                                   // Ack only the first; the second stays unacked.
-        r.ism_side
-            .send(
-                &Message::BatchAck {
-                    seq: 1,
-                    credit: None,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
-        let window = r.exs.into_window().unwrap();
-        assert_eq!(window.depth(), 1);
-        assert_eq!(window.next_seq(), 3);
-
-        // New incarnation over a fresh connection, carrying the window.
-        let t = MemTransport::new();
-        let mut l = t.listen("ism2").unwrap();
-        let conn = t.connect("ism2").unwrap();
-        let mut ism2 = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
-        let raw: Arc<dyn Clock> = Arc::new(SystemClock);
-        let exs2 = ExternalSensor::with_window(
-            NodeId(7),
-            RingSet::new(NodeId(7), cfg.ring_capacity),
-            raw,
-            conn,
-            cfg,
-            shared,
-            window,
-        )
-        .unwrap();
-        match recv_msg(&mut ism2) {
-            Message::Hello { node, version } => {
-                assert_eq!(node, NodeId(7));
-                assert_eq!(version, brisk_proto::VERSION);
-            }
-            other => panic!("expected hello, got {other:?}"),
-        }
-        // The unacked batch (seq 2) is replayed right after Hello.
-        match recv_msg(&mut ism2) {
-            Message::EventBatch { seq, records, .. } => {
-                assert_eq!(seq, Some(2));
-                assert_eq!(records.len(), 1);
-            }
-            other => panic!("expected replayed batch, got {other:?}"),
-        }
-        let stats = exs2.stats();
-        assert_eq!(stats.batches_retransmitted, 1);
-        // Replays are not re-counted as fresh sends.
-        assert_eq!(stats.batches_sent, 2);
+        assert!(matches!(r.exs.step(), Err(BriskError::Protocol(_))));
+        assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
     }
 
     #[test]
@@ -1460,7 +1028,7 @@ mod tests {
             )
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.credit(), Some(2));
+        assert_eq!(r.exs.link.credit(), Some(2));
 
         emit_n(&r.rings, 3);
         r.src.advance_by(10);
@@ -1488,26 +1056,6 @@ mod tests {
         r.exs.step().unwrap(); // scoops the parked record
         assert_eq!(r.exs.stats().batches_sent, 3);
         assert_eq!(r.exs.stats().records_drained, drained_before + 1);
-    }
-
-    #[test]
-    fn hello_ack_overwrites_carried_credit() {
-        let mut r = rig(ExsConfig::default(), 0);
-        recv_msg(&mut r.ism_side); // hello
-        r.exs.set_credit(Some(99)); // as the supervisor would after reconnect
-        assert_eq!(r.exs.credit(), Some(99));
-        // The connection's real HelloAck carries no grant: credit is off.
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: 2,
-                    credit: None,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
-        assert_eq!(r.exs.credit(), None);
     }
 
     #[test]
@@ -1553,7 +1101,7 @@ mod tests {
         let stats = r.exs.stats();
         assert_eq!(stats.batches_sent, 3);
         assert_eq!(stats.window_evicted, 1);
-        assert_eq!(r.exs.window.as_ref().unwrap().depth(), 2);
+        assert_eq!(r.exs.link.window_depth(), 2);
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //!   drains the ring buffers, adds the clock-sync correction value to every
 //!   timestamp, batches records under the latency-control knobs
 //!   ([`brisk_core::ExsConfig`]) and ships batches to the ISM over the
-//!   transfer protocol. It also answers clock-sync polls and applies
-//!   adjustments (the sync *slave* role).
+//!   transfer protocol through its [`uplink::Uplink`].
+//! * **The upstream link** — [`uplink::Uplink`], the one sender of the
+//!   transfer protocol, shared with the relay ISM's exporter: handshake,
+//!   credit, retransmit window and replay, reconnect backoff, heartbeats,
+//!   and the clock-sync *slave* role (answering polls, applying
+//!   adjustments).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -27,9 +31,11 @@ pub mod exs;
 pub mod profiling;
 pub mod sensor;
 pub mod supervisor;
+pub mod uplink;
 
 pub use batch::{Batcher, FlushReason};
 pub use exs::{spawn_exs, ExsHandle, ExsStats, ExsTelemetry, ExternalSensor};
 pub use profiling::{CounterSensor, Scope, SensorGate};
 pub use sensor::Lis;
 pub use supervisor::{spawn_exs_supervised, SupervisedExsHandle, SupervisorConfig};
+pub use uplink::{Backoff, ConnectFn};

@@ -1,6 +1,7 @@
 //! Workspace integration tests: failure injection and recovery.
 
 use brisk::lis::supervisor::{spawn_exs_supervised, SupervisorConfig};
+use brisk::lis::Backoff;
 use brisk::net::LinkModel;
 use brisk::prelude::*;
 use std::sync::Arc;
@@ -65,8 +66,10 @@ fn supervised_node_survives_ism_restart() {
             ..ExsConfig::default()
         },
         SupervisorConfig {
-            initial_backoff: Duration::from_millis(5),
-            max_backoff: Duration::from_millis(50),
+            backoff: Backoff {
+                initial: Duration::from_millis(5),
+                max: Duration::from_millis(50),
+            },
             max_consecutive_failures: None,
         },
     )
@@ -158,8 +161,10 @@ fn flaky_link_delivers_every_record_exactly_once() {
             ..ExsConfig::default()
         },
         SupervisorConfig {
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(10),
+            backoff: Backoff {
+                initial: Duration::from_millis(1),
+                max: Duration::from_millis(10),
+            },
             max_consecutive_failures: None,
         },
     )
@@ -361,8 +366,10 @@ fn credit_grant_stays_authoritative_across_reconnect_replay() {
             ..ExsConfig::default()
         },
         SupervisorConfig {
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(10),
+            backoff: Backoff {
+                initial: Duration::from_millis(1),
+                max: Duration::from_millis(10),
+            },
             max_consecutive_failures: None,
         },
     )
