@@ -13,7 +13,7 @@ use std::hint::black_box;
 fn batch(n: usize) -> Message {
     Message::EventBatch {
         node: NodeId(1),
-        seq: None,
+        seq: 1,
         records: (0..n as u64)
             .map(|i| {
                 EventRecord::new(

@@ -262,12 +262,11 @@ impl IsmCore {
         self.plane.cre_stats()
     }
 
-    /// Accept one *sequenced* batch (protocol v2); see
-    /// [`MergePlane::push_batch_seq`].
+    /// Accept one sequenced batch; see [`MergePlane::push_batch_seq`].
     pub fn push_batch_seq(
         &mut self,
         node: NodeId,
-        seq: Option<u64>,
+        seq: u64,
         records: Vec<EventRecord>,
         now: UtcMicros,
     ) -> Result<bool> {
@@ -486,31 +485,31 @@ mod tests {
         core.bind_telemetry(&registry);
         let now = UtcMicros::from_micros(100);
         assert!(core
-            .push_batch_seq(NodeId(1), Some(1), vec![rec(1, 0, 10, vec![])], now)
+            .push_batch_seq(NodeId(1), 1, vec![rec(1, 0, 10, vec![])], now)
             .unwrap());
         assert!(core
-            .push_batch_seq(NodeId(1), Some(2), vec![rec(1, 1, 11, vec![])], now)
+            .push_batch_seq(NodeId(1), 2, vec![rec(1, 1, 11, vec![])], now)
             .unwrap());
         // Replay of seq 2 from node 1: dropped.
         assert!(!core
-            .push_batch_seq(NodeId(1), Some(2), vec![rec(1, 1, 11, vec![])], now)
+            .push_batch_seq(NodeId(1), 2, vec![rec(1, 1, 11, vec![])], now)
             .unwrap());
         // Same seq from a *different* node: accepted (per-node streams).
         assert!(core
-            .push_batch_seq(NodeId(2), Some(2), vec![rec(2, 0, 12, vec![])], now)
+            .push_batch_seq(NodeId(2), 2, vec![rec(2, 0, 12, vec![])], now)
             .unwrap());
-        // Unsequenced (v1) batches are never deduplicated.
-        assert!(core
-            .push_batch_seq(NodeId(1), None, vec![rec(1, 2, 13, vec![])], now)
+        // Seq 0 is never above the floor a node starts from: a replay.
+        assert!(!core
+            .push_batch_seq(NodeId(3), 0, vec![rec(3, 0, 13, vec![])], now)
             .unwrap());
         let stats = core.stats();
-        assert_eq!(stats.batches_in, 4);
-        assert_eq!(stats.records_in, 4);
-        assert_eq!(stats.duplicate_batches, 1);
-        assert_eq!(stats.duplicate_records, 1);
+        assert_eq!(stats.batches_in, 3);
+        assert_eq!(stats.records_in, 3);
+        assert_eq!(stats.duplicate_batches, 2);
+        assert_eq!(stats.duplicate_records, 2);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter_total("brisk_ism_duplicate_batches_total"), 1);
-        assert_eq!(snap.counter_total("brisk_ism_duplicate_records_total"), 1);
+        assert_eq!(snap.counter_total("brisk_ism_duplicate_batches_total"), 2);
+        assert_eq!(snap.counter_total("brisk_ism_duplicate_records_total"), 2);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub struct MergePlane {
     /// |HLC physical − ISM now| already above the flight-recorder alert
     /// threshold?
     flight_divergence_alerted: bool,
-    /// Highest batch sequence number accepted per node (protocol v2).
+    /// Highest batch sequence number accepted per node.
     /// Replayed batches (seq ≤ the entry) are dropped here, which is what
     /// turns the wire's at-least-once delivery into exactly-once at the
     /// output. Lives in the plane — not the pump — so the memory survives
@@ -275,35 +275,30 @@ impl MergePlane {
         std::mem::take(&mut self.extra_sync_pending)
     }
 
-    /// Accept one *sequenced* batch (protocol v2), deduplicating by
-    /// `(node, seq)`: a batch whose sequence number is not above the
-    /// highest already accepted from `node` is a replay and is dropped
-    /// (counted, not processed). Returns `true` if the batch was accepted,
-    /// `false` if it was dropped as a duplicate — the caller should ack
-    /// either way (a replay means our previous ack was lost with the old
-    /// connection).
-    ///
-    /// `seq == None` is a v1 (unsequenced) batch: always accepted.
+    /// Accept one sequenced batch, deduplicating by `(node, seq)`: a batch
+    /// whose sequence number is not above the highest already accepted
+    /// from `node` is a replay and is dropped (counted, not processed).
+    /// Returns `true` if the batch was accepted, `false` if it was dropped
+    /// as a duplicate — the caller should ack either way (a replay means
+    /// our previous ack was lost with the old connection).
     pub fn push_batch_seq(
         &mut self,
         node: NodeId,
-        seq: Option<u64>,
+        seq: u64,
         records: Vec<EventRecord>,
         now: UtcMicros,
     ) -> Result<bool> {
-        if let Some(seq) = seq {
-            let last = self.last_seq.entry(node).or_insert(0);
-            if seq <= *last {
-                self.stats.duplicate_batches += 1;
-                self.stats.duplicate_records += records.len() as u64;
-                if let Some(t) = &self.telemetry {
-                    t.duplicate_batches.inc();
-                    t.duplicate_records.add(records.len() as u64);
-                }
-                return Ok(false);
+        let last = self.last_seq.entry(node).or_insert(0);
+        if seq <= *last {
+            self.stats.duplicate_batches += 1;
+            self.stats.duplicate_records += records.len() as u64;
+            if let Some(t) = &self.telemetry {
+                t.duplicate_batches.inc();
+                t.duplicate_records.add(records.len() as u64);
             }
-            *last = seq;
+            return Ok(false);
         }
+        *last = seq;
         self.push_batch(records, now)?;
         Ok(true)
     }

@@ -1,17 +1,16 @@
-//! Poll-based connection reactor.
+//! Poll-based connection reactor: the ISM's ingest driver.
 //!
-//! The server's accept loop used to spawn one pump thread per EXS
-//! connection; a thousand mostly-idle sensors meant a thousand sleeping
-//! threads. The reactor replaces that with a small bounded pool: each
-//! *shard* thread owns a set of connections and multiplexes all of their
-//! sockets through one [`Poller`] (`poll(2)` — see `brisk_net::poll`),
-//! driving handshakes, batch ingest, heartbeats, credit acks, clock-sync
-//! exchanges and fault-injected transports alike.
+//! A small bounded pool of *shard* threads serves every sender
+//! connection: each shard owns a set of connections and multiplexes all
+//! of their sockets through one [`Poller`] (`poll(2)` — see
+//! `brisk_net::poll`), driving greetings, batch ingest, heartbeats,
+//! credit acks, clock-sync exchanges and fault-injected transports alike.
+//! A thousand mostly-idle sensors cost a handful of threads, not a
+//! thousand.
 //!
-//! Per-connection protocol behavior is not reimplemented here: every
-//! frame goes through the same [`PumpIo`] the threaded [`run_pump`] path
-//! uses, so the reactor accepts and rejects exactly the traffic a
-//! dedicated pump thread would. What the reactor adds is scheduling:
+//! Every frame of a greeted connection goes through its [`PumpIo`], which
+//! routes it (batches to the manager, replies to the sync state machine)
+//! and applies the quarantine policy. Around it the reactor schedules:
 //!
 //! * Connections with a kernel fd are read only when `poll` reports them
 //!   readable. Fd-less connections (the in-memory transports used by
@@ -20,13 +19,12 @@
 //! * Manager commands (acks, credit grants, sync rounds, shutdown) are
 //!   queued per connection; [`PumpHandle::command`] fires the shard's
 //!   [`Waker`] so a sleeping `poll` services them immediately.
-//! * The clock-sync poll exchange, which the threaded pump runs as a
-//!   blocking request/reply loop, becomes an explicit state machine
+//! * The clock-sync poll exchange is an explicit state machine
 //!   ([`SyncState`]) so one slow slave cannot stall its shard.
-//! * EXS→ISM flow control keeps its semantics: while the shared manager
-//!   queue is over its bound, running connections are excluded from the
-//!   poll set (deferred), while greetings, teardown drains and manager
-//!   commands still make progress.
+//! * EXS→ISM flow control: while the shared manager queue is over its
+//!   bound, running connections are excluded from the poll set
+//!   (deferred), while greetings, teardown drains and manager commands
+//!   still make progress.
 
 use crate::pump::{
     pump_channel, FlowState, FrameOutcome, ProtocolGuard, PumpCommand, PumpEvent, PumpHandle,
@@ -35,7 +33,7 @@ use crate::pump::{
 use brisk_clock::{Clock, SkewSample};
 use brisk_core::{BriskError, NodeId, Result, UtcMicros};
 use brisk_net::{poll_in, Connection, PollFd, Poller, Waker, POLLERR, POLLHUP, POLLIN};
-use brisk_proto::Message;
+use brisk_proto::{peek_tag, Message};
 use brisk_telemetry::Counter;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
@@ -44,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a fresh connection may sit without completing its `Hello`.
+/// How long a fresh connection may sit without sending its `Hello`.
 const GREETING_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long a shut-down connection keeps draining late batches.
 const CLOSING_DRAIN: Duration = Duration::from_secs(2);
@@ -108,8 +106,8 @@ pub(crate) struct ReactorConfig {
     pub pumps: Sender<PumpHandle>,
     /// Counts events enqueued toward the manager (queue-depth telemetry).
     pub enqueued: Option<Arc<Counter>>,
-    /// Shared EXS→ISM flow-control state, if flow control is on.
-    pub flow: Option<Arc<FlowState>>,
+    /// Shared EXS→ISM flow-control state.
+    pub flow: Arc<FlowState>,
     /// Undecodable frames tolerated per connection before disconnect.
     pub error_budget: u32,
     /// Shared malformed-frame quarantine log.
@@ -187,8 +185,8 @@ impl ReactorPool {
     }
 }
 
-/// One in-flight clock-sync exchange, unrolled from the threaded pump's
-/// blocking loop into poll-driven state.
+/// One in-flight clock-sync exchange as poll-driven state: one poll out
+/// at a time, each waiting at most [`SAMPLE_TIMEOUT`] for its reply.
 struct SyncState {
     round: u64,
     total: u32,
@@ -215,7 +213,7 @@ impl SyncState {
     }
 
     /// Record a reply if it matches the outstanding poll; stale or
-    /// mismatched replies are dropped, like the threaded pump does.
+    /// mismatched replies are dropped.
     fn on_reply(&mut self, round: u64, sample: u32, slave_time: UtcMicros, io: &PumpIo) {
         match &self.outstanding {
             Some(out) if self.round == round && out.sample == sample => {
@@ -329,7 +327,7 @@ impl Driver {
                 Ok(PumpCommand::Shutdown) => {
                     let _ = self.conn.send(&Message::Shutdown.encode());
                     // Keep draining the EXS's final flush for a bounded
-                    // window, exactly like the threaded pump's teardown.
+                    // window so no records are lost at teardown.
                     let placeholder = State::Greeting {
                         deadline: Instant::now(),
                     };
@@ -437,18 +435,39 @@ impl Driver {
         }
     }
 
-    /// Server-side handshake, reactor style: the first frame must be a
-    /// `Hello`. Anything else — or a decode failure — drops the
-    /// connection silently; it never had an identity to report. A `Hello`
-    /// claiming a node id another live connection already serves is a
-    /// protocol error: it is quarantined and answered with `Shutdown`
-    /// rather than allowed to clobber the first connection's session.
+    /// Server-side handshake: the first frame must be a `Hello` of this
+    /// protocol version. Anything else — a decode failure, a wrong
+    /// version, another message — closes the connection; it never had an
+    /// identity to report, so the rejection is counted and flight-logged
+    /// instead. A `Hello` claiming a node id another live connection
+    /// already serves is a protocol error too: it is quarantined and
+    /// answered with `Shutdown` rather than allowed to clobber the first
+    /// connection's session.
     fn greet(&mut self, frame: Vec<u8>, ctx: &ReactorConfig, waker: &Waker) -> bool {
-        let (node, version) = match Message::decode(&frame) {
-            Ok(Message::Hello { node, version }) => (node, brisk_proto::negotiate(version)),
-            _ => return false,
+        let node = match Message::decode(&frame) {
+            Ok(Message::Hello { node, .. }) => node,
+            other => {
+                let why = match other {
+                    Err(e) => e.to_string(),
+                    Ok(_) => format!(
+                        "first frame (tag {}) is not a Hello",
+                        peek_tag(&frame).unwrap_or_default()
+                    ),
+                };
+                if let Some(log) = &ctx.quarantine {
+                    log.note_rejected_hello();
+                }
+                brisk_telemetry::flight_log!(
+                    Warn,
+                    "ism.reactor",
+                    "rejected_greeting",
+                    "closed a connection from {}: {why}",
+                    self.conn.peer()
+                );
+                return false;
+            }
         };
-        let (mut handle, cmd_rx) = pump_channel(node, version);
+        let (handle, cmd_rx) = pump_channel(node, waker.clone());
         let id = handle.id();
         if !ctx.active.try_claim(node, id) {
             if let Some(log) = &ctx.quarantine {
@@ -464,26 +483,13 @@ impl Driver {
             let _ = self.conn.send(&Message::Shutdown.encode());
             return false;
         }
-        if version >= 2 {
-            let credit = if version >= 3 {
-                ctx.flow.as_ref().and_then(|f| f.credit())
-            } else {
-                None
-            };
-            if self
-                .conn
-                .send(&Message::HelloAck { version, credit }.encode())
-                .is_err()
-            {
-                ctx.active.release(node, id);
-                return false;
-            }
-        }
-        let wake = waker.clone();
-        handle.attach_wake(Arc::new(move || wake.wake()));
-        if ctx.pumps.send(handle).is_err() {
+        let ack = Message::HelloAck {
+            credit: ctx.flow.credit(),
+        };
+        if self.conn.send(&ack.encode()).is_err() || ctx.pumps.send(handle).is_err() {
+            // A dead socket, or the server is shutting down.
             ctx.active.release(node, id);
-            return false; // server is shutting down
+            return false;
         }
         let io = PumpIo::new(
             node,
@@ -491,7 +497,7 @@ impl Driver {
             Arc::clone(&ctx.clock),
             ctx.events.clone(),
             ctx.enqueued.clone(),
-            ctx.flow.clone(),
+            Arc::clone(&ctx.flow),
             ProtocolGuard {
                 budget: ctx.error_budget,
                 log: ctx.quarantine.clone(),
@@ -559,7 +565,7 @@ fn run_shard(
         // running connections leave the poll set so their bytes pile up
         // in the transport. Greetings and closing drains still read, and
         // commands above still ran — sync and shutdown cannot deadlock.
-        let over = ctx.flow.as_ref().is_some_and(|f| f.over_limit());
+        let over = ctx.flow.over_limit();
         fds.clear();
         modes.clear();
         let mut fdless_active = false;
@@ -570,9 +576,7 @@ fn run_shard(
                 continue;
             }
             if over && d.is_running() {
-                if let Some(flow) = &ctx.flow {
-                    flow.note_deferral();
-                }
+                ctx.flow.note_deferral();
                 modes.push(ReadMode::Skip);
                 continue;
             }
@@ -641,11 +645,9 @@ fn run_shard(
                 // Re-check the queue bound between frames, not just when
                 // the poll set was built: one drain of a deep socket
                 // buffer could otherwise overshoot the bound by a whole
-                // pass (the threaded pump checked before every read, and
-                // the bound the tests pin is queue + one batch per pump).
-                if matches!(d.state, State::Running(_))
-                    && ctx.flow.as_ref().is_some_and(|f| f.over_limit())
-                {
+                // pass (the bound the tests pin is queue + one batch per
+                // pump).
+                if d.is_running() && ctx.flow.over_limit() {
                     break;
                 }
                 match d.conn.recv(Some(Duration::ZERO)) {
@@ -678,18 +680,24 @@ fn run_shard(
 mod tests {
     use super::*;
     use brisk_clock::SystemClock;
-    use brisk_core::{EventRecord, EventTypeId, NodeId, SensorId};
+    use brisk_core::{EventRecord, EventTypeId, FlowConfig, NodeId, SensorId};
     use brisk_net::{MemTransport, Transport};
 
-    fn test_pool() -> (
-        ReactorPool,
-        Receiver<PumpHandle>,
-        Receiver<PumpEvent>,
-        Arc<QuarantineLog>,
-    ) {
-        let (pump_tx, pump_rx) = unbounded();
-        let (event_tx, event_rx) = unbounded();
+    /// A two-shard pool over in-memory connections, with its manager-side
+    /// channels, quarantine log and flow state.
+    struct Rig {
+        pool: ReactorPool,
+        pumps: Receiver<PumpHandle>,
+        events: Receiver<PumpEvent>,
+        quarantine: Arc<QuarantineLog>,
+        flow: Arc<FlowState>,
+    }
+
+    fn rig_with(flow: FlowConfig, error_budget: u32) -> Rig {
+        let (pump_tx, pumps) = unbounded();
+        let (event_tx, events) = unbounded();
         let quarantine = QuarantineLog::new();
+        let flow = FlowState::new(flow);
         let pool = ReactorPool::spawn(
             2,
             ReactorConfig {
@@ -697,54 +705,103 @@ mod tests {
                 events: event_tx,
                 pumps: pump_tx,
                 enqueued: None,
-                flow: Some(FlowState::new(brisk_core::FlowConfig {
-                    credit_records: 64,
-                    max_queued_records: 0,
-                    shed_unmarked: false,
-                })),
-                error_budget: 2,
+                flow: Arc::clone(&flow),
+                error_budget,
                 quarantine: Some(Arc::clone(&quarantine)),
                 active: Arc::new(ActiveNodes::default()),
             },
         )
         .unwrap();
-        (pool, pump_rx, event_rx, quarantine)
+        Rig {
+            pool,
+            pumps,
+            events,
+            quarantine,
+            flow,
+        }
     }
 
-    fn mem_client(pool: &ReactorPool) -> Box<dyn Connection> {
-        let t = MemTransport::new();
-        let mut l = t.listen("r").unwrap();
-        let c = t.connect("r").unwrap();
-        let server = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
-        pool.register(server);
-        c
+    fn credit_64() -> FlowConfig {
+        FlowConfig {
+            credit_records: 64,
+            max_queued_records: 0,
+            shed_unmarked: false,
+        }
+    }
+
+    fn rig() -> Rig {
+        rig_with(credit_64(), 2)
+    }
+
+    impl Rig {
+        /// A fresh client connection registered with the pool.
+        fn client(&self) -> Box<dyn Connection> {
+            let t = MemTransport::new();
+            let mut l = t.listen("r").unwrap();
+            let c = t.connect("r").unwrap();
+            let server = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
+            self.pool.register(server);
+            c
+        }
+
+        /// A client greeted as `node`, with its pump's handle.
+        fn greeted(&self, node: u32) -> (Box<dyn Connection>, PumpHandle) {
+            let mut client = self.client();
+            send(&mut client, &hello(node));
+            assert!(matches!(recv(&mut client), Message::HelloAck { .. }));
+            let handle = self.pumps.recv_timeout(Duration::from_secs(2)).unwrap();
+            (client, handle)
+        }
+
+        fn event(&self) -> PumpEvent {
+            self.events.recv_timeout(Duration::from_secs(2)).unwrap()
+        }
+    }
+
+    fn hello(node: u32) -> Message {
+        Message::Hello {
+            node: NodeId(node),
+            version: brisk_proto::VERSION,
+        }
+    }
+
+    fn batch(node: u32, seq: u64, records: Vec<EventRecord>) -> Message {
+        Message::EventBatch {
+            node: NodeId(node),
+            seq,
+            records,
+        }
+    }
+
+    fn send(client: &mut Box<dyn Connection>, msg: &Message) {
+        client.send(&msg.encode()).unwrap();
+    }
+
+    fn recv(client: &mut Box<dyn Connection>) -> Message {
+        let frame = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
+        Message::decode(&frame).unwrap()
+    }
+
+    /// The client sees its connection closed within `within`.
+    fn closed(client: &mut Box<dyn Connection>, within: Duration) -> bool {
+        let deadline = Instant::now() + within;
+        while Instant::now() < deadline {
+            if client.recv(Some(Duration::from_millis(20))).is_err() {
+                return true;
+            }
+        }
+        false
     }
 
     #[test]
     fn greets_pumps_batches_and_reports_disconnect() {
-        let (pool, pump_rx, event_rx, _q) = test_pool();
-        let mut client = mem_client(&pool);
-        client
-            .send(
-                &Message::Hello {
-                    node: NodeId(7),
-                    version: brisk_proto::VERSION,
-                }
-                .encode(),
-            )
-            .unwrap();
-        // HelloAck carries the negotiated version and the credit grant.
-        let frame = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
-        assert_eq!(
-            Message::decode(&frame).unwrap(),
-            Message::HelloAck {
-                version: brisk_proto::VERSION,
-                credit: Some(64)
-            }
-        );
-        let handle = pump_rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let rig = rig();
+        let mut client = rig.client();
+        send(&mut client, &hello(7));
+        // The HelloAck carries the credit grant.
+        assert_eq!(recv(&mut client), Message::HelloAck { credit: 64 });
+        let handle = rig.pumps.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(handle.node, NodeId(7));
-        assert_eq!(handle.version(), brisk_proto::VERSION);
         // A batch arrives at the manager decoded.
         let rec = EventRecord::new(
             NodeId(7),
@@ -755,17 +812,8 @@ mod tests {
             vec![],
         )
         .unwrap();
-        client
-            .send(
-                &Message::EventBatch {
-                    node: NodeId(7),
-                    seq: Some(1),
-                    records: vec![rec.clone()],
-                }
-                .encode(),
-            )
-            .unwrap();
-        match event_rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        send(&mut client, &batch(7, 1, vec![rec.clone()]));
+        match rig.event() {
             PumpEvent::Batch {
                 node,
                 id,
@@ -775,61 +823,184 @@ mod tests {
             } => {
                 assert_eq!(node, NodeId(7));
                 assert_eq!(id, handle.id());
-                assert_eq!(seq, Some(1));
+                assert_eq!(seq, 1);
                 assert_eq!(records, vec![rec]);
             }
             other => panic!("unexpected {other:?}"),
         }
         // Commands flow back out through the handle (waker-driven).
-        assert!(handle.command(PumpCommand::Ack {
-            seq: 1,
-            credit: Some(64)
-        }));
-        let frame = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
-        assert_eq!(
-            Message::decode(&frame).unwrap(),
-            Message::BatchAck {
-                seq: 1,
-                credit: Some(64)
-            }
-        );
+        assert!(handle.command(PumpCommand::Ack { seq: 1, credit: 64 }));
+        assert_eq!(recv(&mut client), Message::BatchAck { seq: 1, credit: 64 });
         // Dropping the client surfaces as a Disconnected event.
         drop(client);
-        match event_rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        match rig.event() {
             PumpEvent::Disconnected { node, id } => {
                 assert_eq!(node, NodeId(7));
                 assert_eq!(id, handle.id());
             }
             other => panic!("unexpected {other:?}"),
         }
-        pool.stop();
+        rig.pool.stop();
     }
 
     #[test]
     fn non_hello_greeting_is_dropped_without_a_pump() {
-        let (pool, pump_rx, event_rx, _q) = test_pool();
-        let mut client = mem_client(&pool);
-        client.send(&Message::Heartbeat.encode()).unwrap();
-        assert!(pump_rx.recv_timeout(Duration::from_millis(200)).is_err());
-        assert!(event_rx.recv_timeout(Duration::from_millis(50)).is_err());
-        pool.stop();
+        let rig = rig();
+        let mut client = rig.client();
+        send(&mut client, &Message::Heartbeat);
+        assert!(rig.pumps.recv_timeout(Duration::from_millis(200)).is_err());
+        assert!(rig.events.recv_timeout(Duration::from_millis(50)).is_err());
+        assert!(closed(&mut client, Duration::from_secs(3)));
+        assert_eq!(rig.quarantine.rejected_hellos(), 1);
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn hello_of_another_version_is_counted_and_closed() {
+        let rig = rig();
+        let mut client = rig.client();
+        send(
+            &mut client,
+            &Message::Hello {
+                node: NodeId(4),
+                version: brisk_proto::VERSION - 1,
+            },
+        );
+        assert!(
+            closed(&mut client, Duration::from_secs(3)),
+            "the connection must be closed"
+        );
+        assert_eq!(rig.quarantine.rejected_hellos(), 1);
+        assert!(rig.pumps.recv_timeout(Duration::from_millis(50)).is_err());
+        assert!(rig.events.try_recv().is_err());
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn silent_connection_is_dropped_at_the_greeting_deadline() {
+        let rig = rig();
+        let mut client = rig.client();
+        let start = Instant::now();
+        assert!(
+            closed(&mut client, GREETING_TIMEOUT + Duration::from_secs(2)),
+            "a silent greeting must time out"
+        );
+        assert!(start.elapsed() >= GREETING_TIMEOUT);
+        assert!(rig.pumps.try_recv().is_err());
+        assert!(rig.events.try_recv().is_err());
+        // A timeout is no rejected greeting: nothing arrived to judge.
+        assert_eq!(rig.quarantine.rejected_hellos(), 0);
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn over_limit_flow_defers_socket_reads_but_not_commands() {
+        let flow = FlowConfig {
+            max_queued_records: 1,
+            ..credit_64()
+        };
+        let rig = rig_with(flow, 2);
+        let (mut client, handle) = rig.greeted(5);
+        rig.flow.add(10); // some other pump filled the manager queue
+        send(&mut client, &batch(5, 1, vec![]));
+        // The batch stays in the transport while the queue is over its
+        // bound...
+        assert!(rig.events.recv_timeout(Duration::from_millis(100)).is_err());
+        // ...but manager commands are still serviced (no sync deadlock).
+        assert!(handle.command(PumpCommand::Ack { seq: 7, credit: 64 }));
+        assert_eq!(recv(&mut client), Message::BatchAck { seq: 7, credit: 64 });
+        assert!(rig.flow.deferrals() > 0);
+        // Once the manager drains the queue the deferred batch flows.
+        rig.flow.sub(10);
+        match rig.event() {
+            PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn malformed_frames_are_quarantined_within_budget() {
+        let rig = rig(); // budget 2
+        let (mut client, _handle) = rig.greeted(5);
+        // Two garbage frames fit inside the budget: the connection lives
+        // and a valid batch still flows afterwards.
+        client.send(&[0xde, 0xad, 0xbe, 0xef]).unwrap();
+        client.send(b"not a brisk frame").unwrap();
+        send(&mut client, &batch(5, 1, vec![]));
+        match rig.event() {
+            PumpEvent::Batch { seq, .. } => assert_eq!(seq, 1),
+            other => panic!("batch must survive quarantined garbage, got {other:?}"),
+        }
+        assert_eq!(rig.quarantine.frames(), 2);
+        assert_eq!(rig.quarantine.disconnects(), 0);
+        // The third garbage frame exhausts the budget: disconnect.
+        client.send(&[0xff; 8]).unwrap();
+        match rig.event() {
+            PumpEvent::Disconnected { node, .. } => assert_eq!(node, NodeId(5)),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(rig.quarantine.frames(), 3);
+        assert_eq!(rig.quarantine.disconnects(), 1);
+        let samples = rig.quarantine.samples();
+        assert_eq!(samples.len(), 3);
+        assert_eq!(samples[0].node, NodeId(5));
+        assert_eq!(samples[0].head_hex, "deadbeef");
+        assert!(!samples[0].error.is_empty());
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn zero_budget_drops_connection_on_first_bad_frame() {
+        let rig = rig_with(credit_64(), 0);
+        let (mut client, _handle) = rig.greeted(5);
+        client.send(&[0x00]).unwrap();
+        match rig.event() {
+            PumpEvent::Disconnected { .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(rig.quarantine.frames(), 1);
+        assert_eq!(rig.quarantine.disconnects(), 1);
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn heartbeat_is_forwarded_as_liveness() {
+        let rig = rig();
+        let (mut client, handle) = rig.greeted(5);
+        send(&mut client, &Message::Heartbeat);
+        match rig.event() {
+            PumpEvent::Heartbeat { node, id } => {
+                assert_eq!(node, NodeId(5));
+                assert_eq!(id, handle.id());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        rig.pool.stop();
+    }
+
+    #[test]
+    fn adjust_command_reaches_slave() {
+        let rig = rig();
+        let (mut client, handle) = rig.greeted(2);
+        assert!(handle.command(PumpCommand::Adjust {
+            round: 1,
+            advance_us: 123,
+        }));
+        assert_eq!(
+            recv(&mut client),
+            Message::SyncAdjust {
+                round: 1,
+                advance_us: 123
+            }
+        );
+        rig.pool.stop();
     }
 
     #[test]
     fn sync_round_runs_as_state_machine_while_batches_flow() {
-        let (pool, pump_rx, event_rx, _q) = test_pool();
-        let mut client = mem_client(&pool);
-        client
-            .send(
-                &Message::Hello {
-                    node: NodeId(2),
-                    version: brisk_proto::VERSION,
-                }
-                .encode(),
-            )
-            .unwrap();
-        let _ack = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
-        let handle = pump_rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let rig = rig();
+        let (mut client, handle) = rig.greeted(2);
         assert!(handle.command(PumpCommand::SyncRound {
             round: 9,
             samples: 3
@@ -837,37 +1008,22 @@ mod tests {
         // Slave side: answer 3 polls, interleaving a batch.
         let mut answered = 0;
         while answered < 3 {
-            let frame = client.recv(Some(Duration::from_secs(2))).unwrap();
-            let Some(frame) = frame else { continue };
-            match Message::decode(&frame).unwrap() {
+            match recv(&mut client) {
                 Message::SyncPoll {
                     round,
                     sample,
                     master_send,
                 } => {
                     if answered == 1 {
-                        client
-                            .send(
-                                &Message::EventBatch {
-                                    node: NodeId(2),
-                                    seq: Some(1),
-                                    records: vec![],
-                                }
-                                .encode(),
-                            )
-                            .unwrap();
+                        send(&mut client, &batch(2, 1, vec![]));
                     }
-                    client
-                        .send(
-                            &Message::SyncReply {
-                                round,
-                                sample,
-                                master_send,
-                                slave_time: UtcMicros::now(),
-                            }
-                            .encode(),
-                        )
-                        .unwrap();
+                    let reply = Message::SyncReply {
+                        round,
+                        sample,
+                        master_send,
+                        slave_time: UtcMicros::now(),
+                    };
+                    send(&mut client, &reply);
                     answered += 1;
                 }
                 other => panic!("unexpected {other:?}"),
@@ -876,7 +1032,7 @@ mod tests {
         let mut batches = 0;
         let mut samples = None;
         for _ in 0..2 {
-            match event_rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+            match rig.event() {
                 PumpEvent::Batch { .. } => batches += 1,
                 PumpEvent::SyncSamples {
                     node,
@@ -896,41 +1052,21 @@ mod tests {
         for s in samples {
             assert!(s.rtt_us() >= 0);
         }
-        pool.stop();
+        rig.pool.stop();
     }
 
     #[test]
     fn spoofed_batch_ends_the_connection() {
-        let (pool, pump_rx, event_rx, _q) = test_pool();
-        let mut client = mem_client(&pool);
-        client
-            .send(
-                &Message::Hello {
-                    node: NodeId(5),
-                    version: brisk_proto::VERSION,
-                }
-                .encode(),
-            )
-            .unwrap();
-        let _ack = client.recv(Some(Duration::from_secs(2))).unwrap().unwrap();
-        let handle = pump_rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        client
-            .send(
-                &Message::EventBatch {
-                    node: NodeId(6),
-                    seq: Some(1),
-                    records: vec![],
-                }
-                .encode(),
-            )
-            .unwrap();
-        match event_rx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        let rig = rig();
+        let (mut client, handle) = rig.greeted(5);
+        send(&mut client, &batch(6, 1, vec![]));
+        match rig.event() {
             PumpEvent::Disconnected { node, id } => {
                 assert_eq!(node, NodeId(5));
                 assert_eq!(id, handle.id());
             }
             other => panic!("spoofed batch must not be forwarded, got {other:?}"),
         }
-        pool.stop();
+        rig.pool.stop();
     }
 }

@@ -57,7 +57,7 @@ pub struct RelayConfig {
     /// blocking the relay.
     pub window_batches: usize,
     /// Heartbeat the upstream once the link has been send-idle this long
-    /// (v3 links only; zero disables). This is also what keeps the
+    /// (zero disables). This is also what keeps the
     /// parent's `--node-timeout` sweep from evicting a subtree that is
     /// merely quiet: the relay synthesizes its subtree's liveness.
     pub heartbeat_interval: Duration,
@@ -400,7 +400,7 @@ mod tests {
     use super::*;
     use brisk_core::{EventTypeId, NodeId, SensorId, Value};
     use brisk_net::{Connection, Listener, MemTransport, Transport};
-    use brisk_proto::{Message, VERSION};
+    use brisk_proto::{Message, UNLIMITED_CREDIT, VERSION};
 
     fn rec(node: u32, seq: u64, ts: i64) -> EventRecord {
         EventRecord::new(
@@ -455,8 +455,7 @@ mod tests {
         server
             .send(
                 &Message::HelloAck {
-                    version: VERSION,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -470,7 +469,7 @@ mod tests {
         match recv_msg(&mut server) {
             Message::EventBatch { node, seq, records } => {
                 assert_eq!(node, NodeId(7), "header node is the relay itself");
-                assert_eq!(seq, Some(1));
+                assert_eq!(seq, 1);
                 assert_eq!(records[0].node, NodeId((3 << 8) | 7));
                 assert_eq!(records[1].node, NodeId((4 << 8) | 7));
             }
@@ -490,7 +489,7 @@ mod tests {
         }
         match recv_msg(&mut server) {
             Message::EventBatch { seq, records, .. } => {
-                assert_eq!(seq, Some(1), "same sequence number on replay");
+                assert_eq!(seq, 1, "same sequence number on replay");
                 assert_eq!(records.len(), 2);
             }
             other => panic!("expected replayed EventBatch, got {other:?}"),
@@ -499,7 +498,7 @@ mod tests {
             .send(
                 &Message::BatchAck {
                     seq: 1,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -526,13 +525,7 @@ mod tests {
         let mut server = accept(&mut listener);
         let _hello = recv_msg(&mut server);
         server
-            .send(
-                &Message::HelloAck {
-                    version: VERSION,
-                    credit: Some(1),
-                }
-                .encode(),
-            )
+            .send(&Message::HelloAck { credit: 1 }.encode())
             .unwrap();
         ex.pump(now).unwrap();
         assert!(ex.ready(), "an empty window always passes");
@@ -542,20 +535,14 @@ mod tests {
         assert!(!ex.ready(), "budget of 1 spent by the in-flight record");
         assert!(ex.stats().credit_stalls >= 1);
         server
-            .send(
-                &Message::BatchAck {
-                    seq: 1,
-                    credit: Some(1),
-                }
-                .encode(),
-            )
+            .send(&Message::BatchAck { seq: 1, credit: 1 }.encode())
             .unwrap();
         ex.pump(now).unwrap();
         assert!(ex.ready(), "ack replenishes the budget");
     }
 
     #[test]
-    fn idle_v3_link_heartbeats() {
+    fn idle_link_heartbeats_once_acknowledged() {
         let t = MemTransport::new();
         let mut listener = t.listen("hb").unwrap();
         let mut cfg = RelayConfig::new(NodePrefix::new(2).unwrap());
@@ -565,15 +552,14 @@ mod tests {
         ex.pump(at(0)).unwrap();
         let mut server = accept(&mut listener);
         let _hello = recv_msg(&mut server);
-        // No HelloAck yet: idle time passes, no heartbeat (the peer may
-        // not speak v3).
+        // No HelloAck yet: idle time passes, no heartbeat (nothing has
+        // served the link yet).
         ex.pump(at(15)).unwrap();
         assert_eq!(ex.stats().heartbeats_sent, 0);
         server
             .send(
                 &Message::HelloAck {
-                    version: 3,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -607,8 +593,7 @@ mod tests {
         server
             .send(
                 &Message::HelloAck {
-                    version: VERSION,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -621,7 +606,7 @@ mod tests {
         let acker = std::thread::spawn(move || {
             match recv_msg(&mut server) {
                 Message::EventBatch { seq, records, .. } => {
-                    assert_eq!(seq, Some(1));
+                    assert_eq!(seq, 1);
                     assert_eq!(records[0].node, NodeId((1 << 8) | 5));
                 }
                 other => panic!("expected final batch, got {other:?}"),
@@ -630,7 +615,7 @@ mod tests {
                 .send(
                     &Message::BatchAck {
                         seq: 1,
-                        credit: None,
+                        credit: UNLIMITED_CREDIT,
                     }
                     .encode(),
                 )
@@ -702,8 +687,7 @@ mod tests {
         server
             .send(
                 &Message::HelloAck {
-                    version: VERSION,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -731,7 +715,7 @@ mod tests {
                 .send(
                     &Message::BatchAck {
                         seq: 1,
-                        credit: None,
+                        credit: UNLIMITED_CREDIT,
                     }
                     .encode(),
                 )
@@ -761,8 +745,7 @@ mod tests {
         server
             .send(
                 &Message::HelloAck {
-                    version: VERSION,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -788,7 +771,7 @@ mod tests {
         let mut replayed = Vec::new();
         for _ in 0..4 {
             match recv_msg(&mut server) {
-                Message::EventBatch { seq, .. } => replayed.push(seq.unwrap()),
+                Message::EventBatch { seq, .. } => replayed.push(seq),
                 other => panic!("expected a replayed batch, got {other:?}"),
             }
         }
@@ -797,7 +780,7 @@ mod tests {
             .send(
                 &Message::BatchAck {
                     seq: 4,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )

@@ -29,6 +29,7 @@ use crate::sorter::SorterStats;
 use brisk_clock::{Clock, SyncMaster, SyncOutcome};
 use brisk_core::{BriskError, IsmConfig, NodeId, Result, SyncConfig};
 use brisk_net::{ConnMetrics, Listener};
+use brisk_proto::UNLIMITED_CREDIT;
 use brisk_telemetry::{Counter, Histogram, Registry, StageLatencies};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use std::collections::{HashMap, HashSet};
@@ -222,7 +223,7 @@ impl IsmServer {
                 events: event_tx.clone(),
                 pumps: pump_tx,
                 enqueued,
-                flow: Some(Arc::clone(&self.flow)),
+                flow: Arc::clone(&self.flow),
                 error_budget: self.error_budget,
                 quarantine: Some(Arc::clone(&self.quarantine)),
                 active: Arc::new(ActiveNodes::default()),
@@ -386,12 +387,6 @@ impl Manager {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        for (_, handle) in self.pumps.drain() {
-            handle.join();
-        }
-        for handle in self.retiring.drain(..) {
-            handle.join();
-        }
         self.core.drain_all()?;
         Ok(IsmReport {
             core: self.core.stats(),
@@ -470,8 +465,8 @@ impl Manager {
                 // The pump decoded and PumpRecv-stamped the records at
                 // the socket; the manager only merges them.
                 //
-                // Dedup happens in the core; accepted or not, a sequenced
-                // batch is acked — a replayed duplicate means our earlier
+                // Dedup happens in the core; accepted or not, the batch
+                // is acked — a replayed duplicate means our earlier
                 // ack died with the old connection, so re-acking is
                 // exactly what unblocks the sender's retransmit window.
                 let pushed = self
@@ -481,38 +476,29 @@ impl Manager {
                 // accepted them or not; free the pumps before erroring.
                 self.flow.sub(n);
                 pushed?;
-                if let Some(seq) = seq {
-                    // The batch may outrun its pump's registration (the
-                    // channels are separate): catch up, then ack through
-                    // the exact pump instance the batch arrived on.
-                    self.register_new_pumps();
-                    let handle = self
-                        .pumps
-                        .get(&node)
-                        .filter(|h| h.id() == id)
-                        .or_else(|| self.retiring.iter().find(|h| h.id() == id));
-                    if let Some(handle) = handle {
-                        // v3 peers get their credit budget re-advertised
-                        // on every ack: acked records no longer count
-                        // against the in-flight budget, so the constant
-                        // re-grant is exactly the replenishment.
-                        let credit = if handle.version() >= 3 {
-                            self.flow.credit()
-                        } else {
-                            None
-                        };
-                        if handle.command(PumpCommand::Ack { seq, credit }) {
-                            if let Some(c) = &self.acks_sent {
-                                c.inc();
-                            }
-                            if credit.is_some() {
-                                if let Some(c) = &self.credit_grants {
-                                    c.inc();
-                                }
-                                if let Some(h) = &self.grant_latency {
-                                    h.record(enqueued_at.elapsed().as_micros() as u64);
-                                }
-                            }
+                // The batch may outrun its pump's registration (the
+                // channels are separate): catch up, then ack through the
+                // exact pump instance the batch arrived on.
+                self.register_new_pumps();
+                let handle = self
+                    .pumps
+                    .get(&node)
+                    .filter(|h| h.id() == id)
+                    .or_else(|| self.retiring.iter().find(|h| h.id() == id));
+                // Every ack re-advertises the credit budget: acked records
+                // no longer count against the in-flight budget, so the
+                // constant re-grant is exactly the replenishment.
+                let credit = self.flow.credit();
+                if handle.is_some_and(|h| h.command(PumpCommand::Ack { seq, credit })) {
+                    if let Some(c) = &self.acks_sent {
+                        c.inc();
+                    }
+                    if credit != UNLIMITED_CREDIT {
+                        if let Some(c) = &self.credit_grants {
+                            c.inc();
+                        }
+                        if let Some(h) = &self.grant_latency {
+                            h.record(enqueued_at.elapsed().as_micros() as u64);
                         }
                     }
                 }
@@ -549,15 +535,13 @@ impl Manager {
                 // stale pump (displaced by a reconnect) reporting in late
                 // must not tear down its successor.
                 if self.pumps.get(&node).is_some_and(|h| h.id() == id) {
-                    if let Some(handle) = self.pumps.remove(&node) {
-                        handle.join();
-                    }
+                    self.pumps.remove(&node);
                     self.last_seen.remove(&node);
                     if let Some(r) = &mut self.round {
                         r.expected.remove(&node);
                     }
                 } else if let Some(pos) = self.retiring.iter().position(|h| h.id() == id) {
-                    self.retiring.swap_remove(pos).join();
+                    self.retiring.swap_remove(pos);
                 }
             }
         }
@@ -702,7 +686,7 @@ mod tests {
         .unwrap();
     }
 
-    fn batch_seq(node: u32, seq: Option<u64>, seqs: std::ops::Range<u64>) -> Message {
+    fn batch_seq(node: u32, seq: u64, seqs: std::ops::Range<u64>) -> Message {
         Message::EventBatch {
             node: NodeId(node),
             seq,
@@ -722,9 +706,9 @@ mod tests {
         }
     }
 
-    /// An unsequenced (v1-style) batch.
+    /// A node's first batch.
     fn batch(node: u32, seqs: std::ops::Range<u64>) -> Message {
-        batch_seq(node, None, seqs)
+        batch_seq(node, 1, seqs)
     }
 
     /// Receive decoded messages until `pred` returns `Some`, answering
@@ -829,24 +813,45 @@ mod tests {
     }
 
     #[test]
-    fn v2_client_gets_hello_ack_and_batch_acks() {
-        let (handle, t) = start_server();
+    fn client_gets_hello_ack_and_batch_acks_with_unlimited_credit() {
+        let t = MemTransport::new();
+        let listener = t.listen("ism").unwrap();
+        let mut server = IsmServer::new(
+            IsmConfig::default(),
+            SyncConfig {
+                poll_period: Duration::from_secs(60),
+                ..SyncConfig::default()
+            },
+            Arc::new(SystemClock),
+        )
+        .unwrap();
+        let registry = Registry::new();
+        server.bind_telemetry(&registry);
+        let handle = server.spawn(listener).unwrap();
         let mut conn = t.connect("ism").unwrap();
         hello(&mut conn, 1);
-        let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
-            Message::HelloAck { version, credit } => Some((version, credit)),
+        // Credit flow control is off by default: the grant is unlimited.
+        let granted = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
+            Message::HelloAck { credit } => Some(credit),
             _ => None,
         });
-        // Credit flow control is off by default: the ack carries no grant.
-        assert_eq!(acked, Some((brisk_proto::VERSION, None)));
-        conn.send(&batch_seq(1, Some(1), 0..3).encode()).unwrap();
+        assert_eq!(granted, Some(UNLIMITED_CREDIT));
+        conn.send(&batch_seq(1, 1, 0..3).encode()).unwrap();
         let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, credit } => Some((seq, credit)),
             _ => None,
         });
-        assert_eq!(acked, Some((1, None)));
+        assert_eq!(acked, Some((1, UNLIMITED_CREDIT)));
         let report = handle.stop().unwrap();
         assert_eq!(report.core.records_in, 3);
+        // Only finite grants count as credit grants.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("brisk_ism_acks_sent_total"), 1);
+        assert_eq!(snap.counter_total("brisk_ism_credit_grants_total"), 0);
+        let lat = snap
+            .histogram("brisk_ism_grant_latency_us")
+            .expect("grant latency histogram");
+        assert_eq!(lat.count(), 0);
     }
 
     #[test]
@@ -875,16 +880,16 @@ mod tests {
         let mut conn = t.connect("ism-credit").unwrap();
         hello(&mut conn, 1);
         let granted = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
-            Message::HelloAck { credit, .. } => Some(credit),
+            Message::HelloAck { credit } => Some(credit),
             _ => None,
         });
-        assert_eq!(granted, Some(Some(64)), "v3 Hello must carry the budget");
-        conn.send(&batch_seq(1, Some(1), 0..3).encode()).unwrap();
+        assert_eq!(granted, Some(64), "the HelloAck must carry the budget");
+        conn.send(&batch_seq(1, 1, 0..3).encode()).unwrap();
         let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, credit } => Some((seq, credit)),
             _ => None,
         });
-        assert_eq!(acked, Some((1, Some(64))), "acks must replenish credit");
+        assert_eq!(acked, Some((1, 64)), "acks must replenish credit");
         handle.stop().unwrap();
         let snap = registry.snapshot();
         assert!(snap.counter_total("brisk_ism_credit_grants_total") >= 1);
@@ -892,37 +897,6 @@ mod tests {
             .histogram("brisk_ism_grant_latency_us")
             .expect("grant latency histogram");
         assert!(lat.count() >= 1);
-    }
-
-    #[test]
-    fn v1_client_interoperates_without_acks() {
-        let (handle, t) = start_server();
-        let mut reader = handle.memory().reader();
-        let mut conn = t.connect("ism").unwrap();
-        conn.send(
-            &Message::Hello {
-                node: NodeId(1),
-                version: 1,
-            }
-            .encode(),
-        )
-        .unwrap();
-        conn.send(&batch(1, 0..5).encode()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut total = 0;
-        while total < 5 && Instant::now() < deadline {
-            let (recs, _) = reader.poll().unwrap();
-            total += recs.len();
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(total, 5, "v1 batches must still flow");
-        // A v1 peer must never see v2 control messages.
-        let v2_msg = recv_until(&mut conn, Duration::from_millis(300), |m| match m {
-            Message::HelloAck { .. } | Message::BatchAck { .. } => Some(m),
-            _ => None,
-        });
-        assert!(v2_msg.is_none(), "v1 peer got v2 message {v2_msg:?}");
-        handle.stop().unwrap();
     }
 
     #[test]
@@ -943,7 +917,7 @@ mod tests {
         let handle = server.spawn(listener).unwrap();
         let mut conn = t.connect("ism").unwrap();
         hello(&mut conn, 1);
-        conn.send(&batch_seq(1, Some(1), 0..4).encode()).unwrap();
+        conn.send(&batch_seq(1, 1, 0..4).encode()).unwrap();
         let first_ack = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } => Some(seq),
             _ => None,
@@ -951,7 +925,7 @@ mod tests {
         assert_eq!(first_ack, Some(1));
         // Replay the same batch (as after a reconnect whose ack was lost):
         // it must be dropped by dedup yet acked again.
-        conn.send(&batch_seq(1, Some(1), 0..4).encode()).unwrap();
+        conn.send(&batch_seq(1, 1, 0..4).encode()).unwrap();
         let second_ack = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } => Some(seq),
             _ => None,
@@ -973,7 +947,7 @@ mod tests {
         hello(&mut conn, 1);
         // Spoof: the connection authenticated as node 1 but the batch
         // claims node 2. The server must kill the connection.
-        conn.send(&batch_seq(2, Some(1), 0..3).encode()).unwrap();
+        conn.send(&batch_seq(2, 1, 0..3).encode()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut killed = false;
         while Instant::now() < deadline {
@@ -993,7 +967,7 @@ mod tests {
         // First connection for node 1, held open (its pump stays alive).
         let mut conn1 = t.connect("ism").unwrap();
         hello(&mut conn1, 1);
-        conn1.send(&batch_seq(1, Some(1), 0..2).encode()).unwrap();
+        conn1.send(&batch_seq(1, 1, 0..2).encode()).unwrap();
         assert!(
             recv_until(&mut conn1, Duration::from_secs(2), |m| match m {
                 Message::BatchAck { seq, .. } => Some(seq),
@@ -1015,7 +989,7 @@ mod tests {
         assert!(rejected.is_some(), "duplicate Hello must be rejected");
         assert_eq!(handle.quarantine().rejected_hellos(), 1);
         // The original connection keeps working...
-        conn1.send(&batch_seq(1, Some(2), 0..2).encode()).unwrap();
+        conn1.send(&batch_seq(1, 2, 0..2).encode()).unwrap();
         let ack2 = recv_until(&mut conn1, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } if seq >= 2 => Some(seq),
             _ => None,
@@ -1041,7 +1015,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
         }
         let mut conn3 = conn3.expect("node id must be reclaimable after disconnect");
-        conn3.send(&batch_seq(1, Some(3), 0..2).encode()).unwrap();
+        conn3.send(&batch_seq(1, 3, 0..2).encode()).unwrap();
         let ack3 = recv_until(&mut conn3, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } if seq >= 3 => Some(seq),
             _ => None,
@@ -1078,7 +1052,7 @@ mod tests {
         let (handle, t, registry) = start_server_with_timeout(Duration::from_millis(150));
         let mut conn = t.connect("ism").unwrap();
         hello(&mut conn, 1);
-        conn.send(&batch_seq(1, Some(1), 0..2).encode()).unwrap();
+        conn.send(&batch_seq(1, 1, 0..2).encode()).unwrap();
         // Then go silent: the manager must evict the node — the pump
         // sends Shutdown and retires, exactly like a displaced pump.
         let shut = recv_until(&mut conn, Duration::from_secs(5), |m| match m {
@@ -1137,7 +1111,7 @@ mod tests {
         // Two garbage frames are quarantined; a batch still lands.
         conn.send(&[0xde, 0xad]).unwrap();
         conn.send(&[0xbe, 0xef]).unwrap();
-        conn.send(&batch_seq(1, Some(1), 0..3).encode()).unwrap();
+        conn.send(&batch_seq(1, 1, 0..3).encode()).unwrap();
         let acked = recv_until(&mut conn, Duration::from_secs(2), |m| match m {
             Message::BatchAck { seq, .. } => Some(seq),
             _ => None,

@@ -130,8 +130,8 @@ impl Batcher {
     }
 }
 
-/// Bounded retransmit window for acknowledged batch delivery (protocol
-/// v2). The sender assigns every outgoing batch a per-node monotonic
+/// Bounded retransmit window for acknowledged batch delivery. The
+/// sender assigns every outgoing batch a per-node monotonic
 /// sequence number and keeps its encoded frame here until the ISM's
 /// cumulative [`BatchAck`] covers it; after a reconnect the sender
 /// replays whatever is still unacked so an abrupt disconnect loses
@@ -198,7 +198,7 @@ impl SendWindow {
     }
 
     /// Total records across the unacked batches — the sender's in-flight
-    /// count against a credit budget (protocol v3 flow control).
+    /// count against a credit budget.
     pub fn unacked_records(&self) -> u64 {
         self.unacked_records
     }
@@ -223,7 +223,7 @@ impl SendWindow {
         self.unacked.push_back(Windowed {
             seq,
             records: n,
-            frame: brisk_proto::encode_batch(node, Some(seq), records),
+            frame: brisk_proto::encode_batch(node, seq, records),
         });
         Pushed {
             seq,
@@ -416,7 +416,7 @@ mod tests {
             // The first send is the encoding of the sequenced batch.
             let expected = Message::EventBatch {
                 node: NodeId(1),
-                seq: Some(pushed.seq),
+                seq: pushed.seq,
                 records: batch,
             }
             .encode();

@@ -73,10 +73,10 @@ pub struct ExsStats {
     /// Unacked batches evicted from a full retransmit window (lost to
     /// replay).
     pub window_evicted: u64,
-    /// Ring scoops deferred because the ISM's credit budget was spent
-    /// (protocol v3 flow control); backpressure is parked in the rings.
+    /// Ring scoops deferred because the ISM's credit budget was spent;
+    /// backpressure is parked in the rings.
     pub credit_deferrals: u64,
-    /// Liveness heartbeats sent to the ISM (protocol v3, idle links only).
+    /// Liveness heartbeats sent to the ISM (idle links only).
     pub heartbeats_sent: u64,
     /// `HelloAck`s received (one per successfully established connection).
     pub hello_acks: u64,
@@ -626,7 +626,7 @@ mod tests {
     use brisk_clock::{SimClock, SimTimeSource, SystemClock};
     use brisk_core::{EventTypeId, UtcMicros, Value};
     use brisk_net::{LinkModel, MemTransport, Transport};
-    use brisk_proto::Message;
+    use brisk_proto::{Message, UNLIMITED_CREDIT};
 
     struct Rig {
         exs: ExternalSensor,
@@ -698,7 +698,7 @@ mod tests {
         match recv_msg(&mut r.ism_side) {
             Message::EventBatch { node, seq, records } => {
                 assert_eq!(node, NodeId(7));
-                assert_eq!(seq, Some(1)); // v2 by default: first batch is seq 1
+                assert_eq!(seq, 1); // the first batch is seq 1
                 assert_eq!(records.len(), 2);
                 assert_eq!(records[0].ts, UtcMicros::from_micros(1_050));
                 assert_eq!(records[1].ts, UtcMicros::from_micros(1_051));
@@ -981,7 +981,7 @@ mod tests {
             .send(
                 &Message::BatchAck {
                     seq: 2,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -989,25 +989,6 @@ mod tests {
         r.exs.step().unwrap();
         assert_eq!(r.exs.link.window_depth(), 1);
         assert_eq!(r.exs.stats().acks_received, 1);
-    }
-
-    #[test]
-    fn hello_ack_below_v2_is_a_protocol_violation() {
-        // A HelloAck confirming v1 promises no acks: the window could
-        // never drain, so the link refuses the connection.
-        let mut r = rig(ExsConfig::default(), 0);
-        recv_msg(&mut r.ism_side); // hello
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: 1,
-                    credit: None,
-                }
-                .encode(),
-            )
-            .unwrap();
-        assert!(matches!(r.exs.step(), Err(BriskError::Protocol(_))));
-        assert_eq!(r.exs.step().unwrap(), ExsStep::Disconnected);
     }
 
     #[test]
@@ -1019,16 +1000,10 @@ mod tests {
         recv_msg(&mut r.ism_side); // hello
                                    // The ISM grants a budget of 2 in-flight records.
         r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: 3,
-                    credit: Some(2),
-                }
-                .encode(),
-            )
+            .send(&Message::HelloAck { credit: 2 }.encode())
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.link.credit(), Some(2));
+        assert_eq!(r.exs.link.credit(), 2);
 
         emit_n(&r.rings, 3);
         r.src.advance_by(10);
@@ -1044,13 +1019,7 @@ mod tests {
 
         // An ack replenishes the budget and reopens the tap.
         r.ism_side
-            .send(
-                &Message::BatchAck {
-                    seq: 2,
-                    credit: Some(2),
-                }
-                .encode(),
-            )
+            .send(&Message::BatchAck { seq: 2, credit: 2 }.encode())
             .unwrap();
         r.exs.step().unwrap(); // consumes the ack
         r.exs.step().unwrap(); // scoops the parked record
@@ -1069,13 +1038,7 @@ mod tests {
         let registry = Registry::new();
         r.exs.bind_telemetry(&registry);
         r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: 3,
-                    credit: Some(2),
-                }
-                .encode(),
-            )
+            .send(&Message::HelloAck { credit: 2 }.encode())
             .unwrap();
         r.exs.step().unwrap();
         emit_n(&r.rings, 3);
@@ -1085,6 +1048,36 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("brisk_exs_credit_balance"), Some(0));
         assert!(snap.counter_total("brisk_exs_credit_deferred_total") >= 1);
+    }
+
+    #[test]
+    fn credit_balance_reads_zero_under_an_unlimited_grant() {
+        use brisk_telemetry::Registry;
+        let mut cfg = ExsConfig::default();
+        cfg.max_batch_records = 1;
+        let mut r = rig(cfg, 0);
+        recv_msg(&mut r.ism_side); // hello
+        let registry = Registry::new();
+        r.exs.bind_telemetry(&registry);
+        r.ism_side
+            .send(
+                &Message::HelloAck {
+                    credit: UNLIMITED_CREDIT,
+                }
+                .encode(),
+            )
+            .unwrap();
+        r.exs.step().unwrap();
+        emit_n(&r.rings, 2);
+        r.src.advance_by(10);
+        r.exs.step().unwrap();
+        // Records are in flight, yet the unlimited grant is never spent:
+        // the balance reads 0 (a plain `u64::MAX as i64` would read -1
+        // minus the in-flight count).
+        assert_eq!(r.exs.link.window_depth(), 2);
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("brisk_exs_credit_balance"), Some(0));
+        assert_eq!(snap.counter_total("brisk_exs_credit_deferred_total"), 0);
     }
 
     #[test]
@@ -1105,13 +1098,13 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_sent_on_idle_v3_link() {
+    fn heartbeat_sent_on_idle_acknowledged_link() {
         let mut cfg = ExsConfig::default();
         cfg.heartbeat_interval = Duration::from_millis(100);
         let mut r = rig(cfg, 0);
         recv_msg(&mut r.ism_side); // hello
-                                   // No HelloAck yet: idle time passes, no heartbeat (the peer may
-                                   // be v1 and unable to decode the tag).
+                                   // No HelloAck yet: idle time passes, no heartbeat (nothing has
+                                   // served the connection yet).
         r.src.advance_by(150_000);
         r.exs.step().unwrap();
         assert!(r
@@ -1119,12 +1112,11 @@ mod tests {
             .recv(Some(Duration::from_millis(20)))
             .unwrap()
             .is_none());
-        // v3 negotiated: the next idle interval produces a heartbeat.
+        // Acknowledged: the next idle interval produces a heartbeat.
         r.ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -1142,34 +1134,6 @@ mod tests {
             .recv(Some(Duration::from_millis(20)))
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn v2_connection_never_heartbeats() {
-        let mut cfg = ExsConfig::default();
-        cfg.heartbeat_interval = Duration::from_millis(50);
-        let mut r = rig(cfg, 0);
-        recv_msg(&mut r.ism_side); // hello
-        r.ism_side
-            .send(
-                &Message::HelloAck {
-                    version: 2,
-                    credit: None,
-                }
-                .encode(),
-            )
-            .unwrap();
-        r.exs.step().unwrap();
-        r.src.advance_by(500_000);
-        r.exs.step().unwrap();
-        assert!(
-            r.ism_side
-                .recv(Some(Duration::from_millis(20)))
-                .unwrap()
-                .is_none(),
-            "a v2 peer cannot decode the Heartbeat tag"
-        );
-        assert_eq!(r.exs.stats().heartbeats_sent, 0);
     }
 
     #[test]
@@ -1195,8 +1159,7 @@ mod tests {
         ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )
@@ -1287,8 +1250,7 @@ mod tests {
         r.ism_side
             .send(
                 &Message::HelloAck {
-                    version: 3,
-                    credit: None,
+                    credit: UNLIMITED_CREDIT,
                 }
                 .encode(),
             )

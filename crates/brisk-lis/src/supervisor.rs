@@ -134,7 +134,7 @@ mod tests {
     use brisk_clock::SystemClock;
     use brisk_core::{BriskError, EventTypeId, UtcMicros, Value};
     use brisk_net::{Connection, MemTransport, Transport};
-    use brisk_proto::Message;
+    use brisk_proto::{Message, UNLIMITED_CREDIT};
 
     /// A hand-rolled "ISM" that accepts connections one at a time and can
     /// kill them, counting the records received across connections.
@@ -352,8 +352,7 @@ mod tests {
                 if ack {
                     conn.send(
                         &Message::HelloAck {
-                            version: 3,
-                            credit: None,
+                            credit: UNLIMITED_CREDIT,
                         }
                         .encode(),
                     )
@@ -414,8 +413,7 @@ mod tests {
             l.accept(Some(Duration::from_secs(5))).unwrap().unwrap()
         };
         let ack = Message::HelloAck {
-            version: brisk_proto::VERSION,
-            credit: None,
+            credit: UNLIMITED_CREDIT,
         }
         .encode();
         // Incarnation 1 handshakes, then its link dies abruptly.
@@ -507,8 +505,7 @@ mod tests {
         .unwrap();
         let ack = |conn: &mut Box<dyn Connection>| {
             let ack = Message::HelloAck {
-                version: brisk_proto::VERSION,
-                credit: None,
+                credit: UNLIMITED_CREDIT,
             };
             conn.send(&ack.encode()).unwrap();
         };
@@ -541,7 +538,7 @@ mod tests {
         while seen.len() < 60 && std::time::Instant::now() < deadline {
             if let Some(frame) = conn.recv(Some(Duration::from_millis(10))).unwrap() {
                 if let Ok(Message::EventBatch { seq, records, .. }) = Message::decode(&frame) {
-                    last_seq = last_seq.max(seq.unwrap());
+                    last_seq = last_seq.max(seq);
                     seen.extend(records.iter().map(|r| r.seq));
                 }
             }
@@ -550,7 +547,7 @@ mod tests {
         conn.send(
             &Message::BatchAck {
                 seq: last_seq,
-                credit: None,
+                credit: UNLIMITED_CREDIT,
             }
             .encode(),
         )

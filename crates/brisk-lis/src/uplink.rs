@@ -6,11 +6,9 @@
 //! [`Uplink`], which owns everything about the link that has to outlive
 //! one connection:
 //!
-//! - the `Hello` preamble and the `HelloAck` that confirms it (a peer
-//!   confirming a version below 2 would never ack, which the link treats
-//!   as a protocol violation);
-//! - the credit gate (protocol v3): the ISM's absolute in-flight budget,
-//!   re-advertised on `HelloAck` and every `BatchAck`;
+//! - the `Hello` preamble and the `HelloAck` that confirms it;
+//! - the credit gate: the ISM's absolute in-flight budget, granted on
+//!   `HelloAck` and re-advertised on every `BatchAck`;
 //! - the [`SendWindow`]: each batch is framed once with its sequence
 //!   number, kept until a cumulative `BatchAck` covers it, and replayed
 //!   after a reconnect, so nothing handed to a dead connection is lost
@@ -31,7 +29,7 @@ use crate::batch::SendWindow;
 use brisk_clock::{Clock, CorrectedClock};
 use brisk_core::{BriskError, EventRecord, NodeId, Result, UtcMicros};
 use brisk_net::Connection;
-use brisk_proto::Message;
+use brisk_proto::{Message, UNLIMITED_CREDIT};
 use brisk_telemetry::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -164,8 +162,8 @@ impl UplinkTelemetry {
         self.window_depth.load(Ordering::Relaxed)
     }
 
-    /// Granted credit minus unacked in-flight records (0 while credit is
-    /// off).
+    /// Granted credit minus unacked in-flight records (0 under an
+    /// unlimited grant).
     pub fn credit_balance(&self) -> i64 {
         self.credit_balance.load(Ordering::Relaxed)
     }
@@ -235,10 +233,10 @@ pub struct Uplink {
     /// Window-entry time per windowed seq, for the ack-latency histogram;
     /// kept in step with the window.
     entered: VecDeque<(u64, i64)>,
-    credit: Option<u64>,
+    credit: u64,
     credit_stalled: bool,
-    /// Version confirmed by this connection's `HelloAck`.
-    negotiated: Option<u32>,
+    /// This connection got its `HelloAck`.
+    acked: bool,
     /// Some earlier connection got a `HelloAck`.
     ever_acked: bool,
     heartbeat_us: i64,
@@ -273,9 +271,9 @@ impl Uplink {
             redial: None,
             window: SendWindow::new(window_batches),
             entered: VecDeque::new(),
-            credit: None,
+            credit: UNLIMITED_CREDIT,
             credit_stalled: false,
-            negotiated: None,
+            acked: false,
             ever_acked: false,
             heartbeat_us: heartbeat_interval.as_micros() as i64,
             pacing_us: 0,
@@ -336,9 +334,10 @@ impl Uplink {
         self.conn.is_some()
     }
 
-    /// The credit budget last granted by the ISM, if any. It persists
-    /// across reconnects until the next `HelloAck` overwrites it.
-    pub fn credit(&self) -> Option<u64> {
+    /// The credit budget last granted by the ISM (unlimited until the
+    /// first grant). It persists across reconnects until the next
+    /// `HelloAck` overwrites it.
+    pub fn credit(&self) -> u64 {
         self.credit
     }
 
@@ -358,14 +357,11 @@ impl Uplink {
         self.conn.is_some() && self.credit_open()
     }
 
-    /// Credit is off, or in-flight records are under budget. An empty
-    /// window always passes: even a zero grant can only stop *new* traffic
-    /// while something is in flight, never deadlock the sender.
+    /// In-flight records are under budget. An empty window always
+    /// passes: even a zero grant can only stop *new* traffic while
+    /// something is in flight, never deadlock the sender.
     fn credit_open(&self) -> bool {
-        match self.credit {
-            Some(c) => self.window.depth() == 0 || self.window.unacked_records() < c,
-            None => true,
-        }
+        self.window.depth() == 0 || self.window.unacked_records() < self.credit
     }
 
     /// `None` while credit permits traffic; `Some(first)` while the budget
@@ -383,7 +379,7 @@ impl Uplink {
                 Warn,
                 "uplink",
                 "credit_stall",
-                "node {} out of credit: budget {:?} spent",
+                "node {} out of credit: budget {} spent",
                 self.node,
                 self.credit
             );
@@ -409,9 +405,9 @@ impl Uplink {
         s.connected.store(self.conn.is_some(), Ordering::Relaxed);
         s.window_depth
             .store(self.window.depth() as u64, Ordering::Relaxed);
-        let bal = self
-            .credit
-            .map_or(0, |c| c as i64 - self.window.unacked_records() as i64);
+        // A grant past `i64::MAX` (the unlimited one) reads as 0.
+        let unacked = self.window.unacked_records() as i64;
+        let bal = i64::try_from(self.credit).map_or(0, |c| c.saturating_sub(unacked));
         s.credit_balance.store(bal, Ordering::Relaxed);
     }
 
@@ -455,7 +451,7 @@ impl Uplink {
     /// and any other reason as the error.
     fn end(&mut self, why: BriskError) -> Result<LinkEvent> {
         self.conn = None;
-        let served = self.negotiated.take().is_some();
+        let served = std::mem::take(&mut self.acked);
         self.control_errors = 0;
         self.mirror();
         brisk_telemetry::flight_log!(
@@ -566,16 +562,16 @@ impl Uplink {
     }
 
     /// One turn of the link at the caller's time `now`: dial if due, send
-    /// a heartbeat on an idle v3 connection, then wait up to `wait` for
-    /// one control frame and handle it. Fails only when a redialling link
-    /// gives up, or when a single-connection link ends on a damaged or
-    /// wrong-role control stream.
+    /// a heartbeat on an idle connection the ISM acknowledged, then wait
+    /// up to `wait` for one control frame and handle it. Fails only when
+    /// a redialling link gives up, or when a single-connection link ends
+    /// on a damaged or wrong-role control stream.
     pub fn poll(&mut self, now: UtcMicros, wait: Duration) -> Result<LinkEvent> {
         self.advance(now);
         self.waited = Duration::ZERO;
         self.dial()?;
         if self.heartbeat_us > 0
-            && self.negotiated.is_some_and(|v| v >= 3)
+            && self.acked
             && self.pacing_us.saturating_sub(self.last_send_us) >= self.heartbeat_us
             && self.send_control(&Message::Heartbeat)?
         {
@@ -615,14 +611,11 @@ impl Uplink {
 
     fn handle(&mut self, msg: Message, now: UtcMicros) -> Result<LinkEvent> {
         match msg {
-            Message::HelloAck { version, .. } if version < 2 => self.end(BriskError::Protocol(
-                format!("HelloAck confirms v{version}: the ISM would never ack"),
-            )),
-            Message::HelloAck { version, credit } => {
-                // Authoritative for the connection's flow control: `None`
-                // clears a budget left over from the previous connection.
+            Message::HelloAck { credit } => {
+                // Authoritative for the connection's flow control: it
+                // replaces a budget left over from the previous connection.
                 self.credit = credit;
-                self.negotiated = Some(version);
+                self.acked = true;
                 self.ever_acked = true;
                 // Idle time before the handshake does not count toward the
                 // heartbeat deadline.
@@ -641,11 +634,8 @@ impl Uplink {
                     self.entered.pop_front();
                 }
                 self.shared.ack_lag.record(self.window.depth() as u64);
-                // A grant piggybacked on the ack re-advertises the budget
-                // absolutely; a plain ack leaves it untouched.
-                if credit.is_some() {
-                    self.credit = credit;
-                }
+                // The grant on the ack re-advertises the budget absolutely.
+                self.credit = credit;
                 self.shared.acks_received.fetch_add(1, Ordering::Relaxed);
                 Ok(LinkEvent::Busy)
             }
@@ -682,7 +672,7 @@ impl Uplink {
                 Ok(LinkEvent::Busy)
             }
             Message::Shutdown => Ok(LinkEvent::Shutdown {
-                rejected_reconnect: self.ever_acked && self.negotiated.is_none(),
+                rejected_reconnect: self.ever_acked && !self.acked,
             }),
             // Decodable but wrong for this role: a protocol violation, not
             // damaged bytes, so it ends the connection outright.
@@ -815,26 +805,14 @@ mod tests {
                 ..
             }
         ));
-        send(
-            &mut server,
-            Message::HelloAck {
-                version: brisk_proto::VERSION,
-                credit: Some(5),
-            },
-        );
+        send(&mut server, Message::HelloAck { credit: 5 });
         link.poll(at(0), Duration::from_millis(100)).unwrap();
-        assert_eq!(link.credit(), Some(5));
+        assert_eq!(link.credit(), 5);
         link.send_batch(&[rec(1)]);
         link.send_batch(&[rec(2), rec(3)]);
         recv_msg(&mut server);
         recv_msg(&mut server);
-        send(
-            &mut server,
-            Message::BatchAck {
-                seq: 1,
-                credit: None,
-            },
-        );
+        send(&mut server, Message::BatchAck { seq: 1, credit: 5 });
         link.poll(at(1), Duration::from_millis(100)).unwrap();
         assert_eq!(link.window_depth(), 1);
 
@@ -847,22 +825,21 @@ mod tests {
         assert!(matches!(recv_msg(&mut server), Message::Hello { .. }));
         match recv_msg(&mut server) {
             Message::EventBatch { seq, records, .. } => {
-                assert_eq!(seq, Some(2));
+                assert_eq!(seq, 2);
                 assert_eq!(records.len(), 2);
             }
             other => panic!("expected the replayed batch, got {other:?}"),
         }
         // The old grant paces the link until the new HelloAck replaces it.
-        assert_eq!(link.credit(), Some(5));
+        assert_eq!(link.credit(), 5);
         send(
             &mut server,
             Message::HelloAck {
-                version: brisk_proto::VERSION,
-                credit: None,
+                credit: UNLIMITED_CREDIT,
             },
         );
         link.poll(at(3), Duration::from_millis(100)).unwrap();
-        assert_eq!(link.credit(), None);
+        assert_eq!(link.credit(), UNLIMITED_CREDIT);
         let s = stats(&link);
         assert_eq!((s.connects, s.hello_acks), (2, 2));
         assert_eq!((s.batches_sent, s.records_sent), (2, 3));

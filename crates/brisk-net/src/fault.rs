@@ -603,28 +603,29 @@ mod tests {
     fn kill_severs_both_directions() {
         let spec = FaultSpec {
             seed: 3,
-            kill_after_frames: Some(2),
+            kill_after_frames: Some(3),
             ..FaultSpec::default()
         };
         let t = FaultingTransport::new(MemTransport::new(), spec);
         let mut l = t.listen("x").unwrap();
         let mut c = t.connect("x").unwrap();
         let mut s = l.accept(Some(Duration::from_secs(1))).unwrap().unwrap();
-        c.send(b"one").unwrap();
-        c.send(b"two").unwrap();
-        let err = c.send(b"three").unwrap_err();
-        assert!(err.is_disconnect());
-        assert!(c.recv(Some(Duration::from_millis(5))).is_err());
-        // In-flight frames drain, then the peer sees the disconnect.
-        assert_eq!(
-            s.recv(Some(Duration::from_secs(1))).unwrap().unwrap(),
-            b"one"
-        );
-        assert_eq!(
-            s.recv(Some(Duration::from_secs(1))).unwrap().unwrap(),
-            b"two"
-        );
-        assert!(s.recv(Some(Duration::from_secs(1))).is_err());
+        for i in 0..3u32 {
+            c.send(&i.to_le_bytes()).unwrap();
+        }
+        // The 4th send hits the kill threshold: the connection severs.
+        let err = c.send(&3u32.to_le_bytes()).unwrap_err();
+        assert!(err.is_disconnect(), "got {err}");
+        // Frames already in flight still drain (like kernel-buffered TCP
+        // data after a peer reset race), then the peer sees the disconnect.
+        for i in 0..3u32 {
+            let f = s.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
+            assert_eq!(u32::from_le_bytes(f[..].try_into().unwrap()), i);
+        }
+        let err = s.recv(Some(Duration::from_secs(1))).unwrap_err();
+        assert!(err.is_disconnect(), "got {err}");
+        // The severed endpoint can no longer receive either.
+        assert!(c.recv(Some(Duration::from_millis(10))).is_err());
         assert_eq!(t.stats().counts().5, 1);
     }
 

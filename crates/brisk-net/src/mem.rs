@@ -6,11 +6,9 @@
 //! frame *delay spikes* — enough to exercise BRISK's batching, sorting and
 //! sync logic under adverse conditions without a real network. (Frames are
 //! never silently dropped: BRISK runs over a reliable stream; loss shows up
-//! to the application as a disconnect.) For fault-injection tests the model
-//! can also *kill* a connection deterministically: after an endpoint has
-//! sent [`LinkModel::kill_after_frames`] frames, both directions sever
-//! abruptly — exactly the mid-stream connection death the supervisor's
-//! retransmit/replay machinery exists for.
+//! to the application as a disconnect.) Faults beyond delay — corruption,
+//! duplication, a mid-stream kill — come from wrapping the transport in a
+//! [`FaultingTransport`](crate::FaultingTransport).
 
 use crate::traits::{Connection, Listener, Transport};
 use crate::MAX_FRAME_BYTES;
@@ -34,12 +32,6 @@ pub struct LinkModel {
     pub spike_probability: f64,
     /// Size of a delay spike when one occurs.
     pub spike: Duration,
-    /// Fault injection: abruptly sever the connection once an endpoint
-    /// has sent this many frames (each endpoint counts its own sends).
-    /// The kill takes out *both* directions, like a TCP reset: the
-    /// killing side's subsequent sends and recvs fail, and the peer sees
-    /// a disconnect. `None` (the default) disables killing.
-    pub kill_after_frames: Option<u64>,
 }
 
 impl Default for LinkModel {
@@ -49,7 +41,6 @@ impl Default for LinkModel {
             jitter: Duration::ZERO,
             spike_probability: 0.0,
             spike: Duration::ZERO,
-            kill_after_frames: None,
         }
     }
 }
@@ -120,21 +111,19 @@ impl MemTransport {
         let (a_tx, a_rx) = unbounded::<Delayed>();
         let (b_tx, b_rx) = unbounded::<Delayed>();
         let a = MemConnection {
-            tx: Some(a_tx),
-            rx: Some(b_rx),
+            tx: a_tx,
+            rx: b_rx,
             model: self.model,
             rng: self.next_rng(),
             peer: b_name,
-            sent_frames: 0,
             held: None,
         };
         let b = MemConnection {
-            tx: Some(b_tx),
-            rx: Some(a_rx),
+            tx: b_tx,
+            rx: a_rx,
             model: self.model,
             rng: self.next_rng(),
             peer: a_name,
-            sent_frames: 0,
             held: None,
         };
         (a, b)
@@ -213,28 +202,14 @@ impl Listener for MemListener {
 
 /// One endpoint of an in-memory connection.
 pub struct MemConnection {
-    /// `None` once the connection was killed by fault injection; the
-    /// `Option` lets a kill *drop* both channel halves so the peer sees a
-    /// disconnect too, like a TCP reset.
-    tx: Option<Sender<Delayed>>,
-    rx: Option<Receiver<Delayed>>,
+    tx: Sender<Delayed>,
+    rx: Receiver<Delayed>,
     model: LinkModel,
     rng: StdRng,
     peer: String,
-    /// Frames this endpoint has sent (drives `kill_after_frames`).
-    sent_frames: u64,
     /// A frame received from the channel whose delivery time has not yet
     /// arrived when a short recv timeout expired.
     held: Option<Delayed>,
-}
-
-impl MemConnection {
-    /// Fault injection: abruptly drop both directions.
-    fn sever(&mut self) {
-        self.tx = None;
-        self.rx = None;
-        self.held = None;
-    }
 }
 
 impl Connection for MemConnection {
@@ -245,29 +220,18 @@ impl Connection for MemConnection {
                 frame.len()
             )));
         }
-        if let Some(kill_after) = self.model.kill_after_frames {
-            if self.tx.is_some() && self.sent_frames >= kill_after {
-                self.sever();
-            }
-        }
-        let Some(tx) = &self.tx else {
-            return Err(BriskError::Disconnected);
-        };
         let delay = self.model.delay(&mut self.rng);
-        tx.send(Delayed {
-            deliver_at: Instant::now() + delay,
-            frame: frame.to_vec(),
-        })
-        .map_err(|_| BriskError::Disconnected)?;
-        self.sent_frames += 1;
-        Ok(())
+        self.tx
+            .send(Delayed {
+                deliver_at: Instant::now() + delay,
+                frame: frame.to_vec(),
+            })
+            .map_err(|_| BriskError::Disconnected)
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let Some(rx) = &self.rx else {
-            return Err(BriskError::Disconnected);
-        };
+        let rx = &self.rx;
         // Take the next in-flight frame (channel order == send order, so
         // in-order delivery holds even with variable delays — this models a
         // stream, not a datagram network).
@@ -347,7 +311,6 @@ mod tests {
             jitter: Duration::from_micros(500),
             spike_probability: 0.2,
             spike: Duration::from_millis(1),
-            ..LinkModel::ideal()
         });
         for i in 0..200u32 {
             c.send(&i.to_le_bytes()).unwrap();
@@ -389,30 +352,6 @@ mod tests {
         drop(c);
         let err = s.recv(Some(Duration::from_secs(1))).unwrap_err();
         assert!(err.is_disconnect());
-    }
-
-    #[test]
-    fn connection_killed_after_n_frames() {
-        let (mut s, mut c) = pair(LinkModel {
-            kill_after_frames: Some(3),
-            ..LinkModel::ideal()
-        });
-        for i in 0..3u32 {
-            c.send(&i.to_le_bytes()).unwrap();
-        }
-        // The 4th send hits the kill threshold: the connection severs.
-        let err = c.send(&3u32.to_le_bytes()).unwrap_err();
-        assert!(err.is_disconnect(), "got {err}");
-        // Frames already in flight still drain (like kernel-buffered TCP
-        // data after a peer reset race), then the peer sees the disconnect.
-        for i in 0..3u32 {
-            let f = s.recv(Some(Duration::from_secs(1))).unwrap().unwrap();
-            assert_eq!(u32::from_le_bytes(f[..].try_into().unwrap()), i);
-        }
-        let err = s.recv(Some(Duration::from_secs(1))).unwrap_err();
-        assert!(err.is_disconnect(), "got {err}");
-        // The severed endpoint can no longer receive either.
-        assert!(c.recv(Some(Duration::from_millis(10))).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `X_HLC` wire coverage: the hybrid-logical-clock stamp must survive
-//! every batch wire format (v1 unsequenced, v2/v3 sequenced, relay-tier
-//! multi-node) and the relay namespace rewrite, or causal ordering
+//! both batch forms (single-node, and relay-tier with per-record node ids)
+//! and the relay namespace rewrite, or causal ordering
 //! silently degrades to the physical-timestamp heuristic downstream.
 
 use brisk_core::prelude::*;
@@ -25,29 +25,10 @@ fn round_trip(msg: &Message) -> Message {
 }
 
 #[test]
-fn hlc_survives_v1_unsequenced_batch() {
+fn hlc_survives_single_node_batch() {
     let msg = Message::EventBatch {
         node: NodeId(3),
-        seq: None,
-        records: vec![stamped_record(3, 1, 2_000_000, 5)],
-    };
-    match round_trip(&msg) {
-        Message::EventBatch { seq, records, .. } => {
-            assert_eq!(seq, None);
-            assert_eq!(
-                records[0].hlc(),
-                Some(HlcStamp::new(UtcMicros::from_micros(2_000_000), 5))
-            );
-        }
-        other => panic!("expected batch, got {other:?}"),
-    }
-}
-
-#[test]
-fn hlc_survives_v2_sequenced_batch() {
-    let msg = Message::EventBatch {
-        node: NodeId(3),
-        seq: Some(9),
+        seq: 9,
         records: vec![
             stamped_record(3, 1, 2_000_000, 0),
             stamped_record(3, 2, 2_000_000, 1),
@@ -55,7 +36,7 @@ fn hlc_survives_v2_sequenced_batch() {
     };
     match round_trip(&msg) {
         Message::EventBatch { seq, records, .. } => {
-            assert_eq!(seq, Some(9));
+            assert_eq!(seq, 9);
             let stamps: Vec<_> = records.iter().map(|r| r.hlc().unwrap()).collect();
             assert_eq!(stamps[0].logical, 0);
             assert_eq!(stamps[1].logical, 1);
@@ -67,10 +48,10 @@ fn hlc_survives_v2_sequenced_batch() {
 
 #[test]
 fn hlc_survives_relay_multi_node_batch() {
-    // Mixed-origin records force the relay-tier EventBatchMulti format.
+    // Mixed-origin records force per-record node ids (the relay batch).
     let msg = Message::EventBatch {
         node: NodeId(1),
-        seq: Some(4),
+        seq: 4,
         records: vec![
             stamped_record(17, 1, 2_000_000, 2),
             stamped_record(33, 1, 2_000_500, 0),
@@ -112,14 +93,14 @@ fn namespace_rewrite_passes_hlc_untouched() {
 #[test]
 fn rewritten_stamped_record_round_trips_the_wire() {
     // The full relay path: stamp, rewrite into the relay namespace, ship
-    // in a multi-node batch, decode at the root — stamp intact.
+    // in a relay batch, decode at the root — stamp intact.
     let prefix = NodePrefix::new(2).unwrap();
     let mut rec = stamped_record(3, 1, 2_000_000, 1);
     prefix.rewrite_record(&mut rec).unwrap();
     let other = stamped_record(200, 1, 2_000_100, 0);
     let msg = Message::EventBatch {
         node: prefix.relay_node(),
-        seq: Some(1),
+        seq: 1,
         records: vec![rec.clone(), other],
     };
     match round_trip(&msg) {

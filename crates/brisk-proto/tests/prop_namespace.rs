@@ -51,12 +51,7 @@ fn arb_prefix() -> impl Strategy<Value = NodePrefix> {
 
 fn encode_decode(records: Vec<EventRecord>, seq: u64) -> Vec<EventRecord> {
     let node = records.first().map(|r| r.node).unwrap_or(NodeId(1));
-    let frame = Message::EventBatch {
-        node,
-        seq: Some(seq),
-        records,
-    }
-    .encode();
+    let frame = Message::EventBatch { node, seq, records }.encode();
     match Message::decode(&frame).expect("rewritten batch must stay decodable") {
         Message::EventBatch { records, .. } => records,
         other => panic!("decoded to {other:?}"),
@@ -132,7 +127,7 @@ proptest! {
 
     /// A relay's merged batch mixes records from several downstream
     /// nodes under one header (the relay's own upstream identity). The
-    /// encoder must pick the multi-node wire format, the decoder must
+    /// encoder must give each record its own node id, the decoder must
     /// restore every per-record node, and stripping must recover each
     /// original record — nothing may collapse to the header node.
     #[test]
@@ -149,18 +144,17 @@ proptest! {
 
         let frame = Message::EventBatch {
             node: prefix.relay_node(),
-            seq: Some(3),
+            seq: 3,
             records: rewritten.clone(),
         }
         .encode();
-        if mixed {
-            // Tag 13 = EventBatchMulti, the per-record-node wire format.
-            prop_assert_eq!(brisk_proto::peek_tag(&frame), Some(13));
-        }
+        // The header's per-record-node flag (the word after tag, node and
+        // seq) is set exactly when the records mix nodes.
+        prop_assert_eq!(&frame[16..20], &[0, 0, 0, u8::from(mixed)]);
         let decoded = match Message::decode(&frame).expect("relay batch must decode") {
             Message::EventBatch { node, seq, records } => {
                 prop_assert_eq!(node, prefix.relay_node());
-                prop_assert_eq!(seq, Some(3));
+                prop_assert_eq!(seq, 3);
                 records
             }
             other => panic!("decoded to {other:?}"),

@@ -388,6 +388,12 @@ impl StoreReader {
                 }
                 Err(e) => return Err(e.into()),
             };
+            // The writer creates a segment file before it writes the
+            // header, so a reader racing a live writer can see it empty:
+            // no records yet, not a damaged store.
+            if bytes.is_empty() {
+                continue;
+            }
             // Resume from the last index entry *strictly* below the bound.
             // An entry exactly at the bound is no good as a start point: in
             // a sorted segment records with the same timestamp may precede
@@ -613,6 +619,24 @@ mod tests {
             fs::write(index_path(&dir, *id), idx.encode()).unwrap();
         }
         dir
+    }
+
+    #[test]
+    fn segment_created_but_not_yet_written_reads_as_empty() {
+        // A live writer creates a segment file, then writes its header: a
+        // reader in between sees an empty file, first in the store or not.
+        let dir = write_indexed_store(&[], 4);
+        fs::write(segment_path(&dir, 0), b"").unwrap();
+        let (got, report) = StoreReader::open(&dir).unwrap().read_all().unwrap();
+        assert!(got.is_empty());
+        assert_eq!(report.torn_tail_truncations, 0);
+        let recs: Vec<_> = (0..3).map(|i| rec(i, i as i64 * 10)).collect();
+        fs::write(segment_path(&dir, 0), segment_image(0, &recs)).unwrap();
+        fs::write(segment_path(&dir, 1), b"").unwrap();
+        let (got, report) = StoreReader::open(&dir).unwrap().read_all().unwrap();
+        assert_eq!(got, recs);
+        assert_eq!(report.torn_tail_truncations, 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

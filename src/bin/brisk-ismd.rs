@@ -41,11 +41,11 @@
 //! crashes (reopening repairs torn tails) and replayable afterwards with
 //! `brisk-load --replay DIR`.
 //!
-//! `--credit-records` turns on protocol-v3 credit flow control: each EXS
-//! connection may have at most N records unacknowledged in flight, so a
-//! slow ISM pushes backpressure out to the sensors' rings instead of
-//! buffering unboundedly. `--max-queued-records` bounds the pump→manager
-//! queue (pumps stop reading their sockets while it is over the limit),
+//! `--credit-records` turns on credit flow control: each EXS connection
+//! may have at most N records unacknowledged in flight, so a slow ISM
+//! pushes backpressure out to the sensors' rings instead of buffering
+//! unboundedly. `--max-queued-records` bounds the reactor→manager queue
+//! (the reactor stops reading sender sockets while it is over the limit),
 //! and `--shed-unmarked` switches the sorter's memory-pressure response
 //! from force-release to dropping the oldest unmarked (never CRE-marked)
 //! records.

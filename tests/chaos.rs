@@ -40,7 +40,7 @@ fn scripted_frames(node: u32, count: usize) -> Vec<Vec<u8>> {
             .unwrap();
             Message::EventBatch {
                 node: NodeId(node),
-                seq: Some(i as u64 + 1),
+                seq: i as u64 + 1,
                 records: vec![record],
             }
             .encode()

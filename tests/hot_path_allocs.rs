@@ -92,7 +92,7 @@ fn batch(n: u64) -> Vec<EventRecord> {
 fn push_and_tick(core: &mut IsmCore, n: u64, records: Vec<EventRecord>) {
     let end = UtcMicros::from_micros(1_000_000 + ((n + 1) * BATCH as u64) as i64 * TS_STEP_US);
     assert!(core
-        .push_batch_seq(NodeId(1), Some(n + 1), records, end)
+        .push_batch_seq(NodeId(1), n + 1, records, end)
         .expect("push"));
     let delivered = core.tick(end.offset(1)).expect("tick");
     assert_eq!(delivered, BATCH, "frame 0 releases the whole batch");

@@ -1,9 +1,9 @@
 //! Workspace integration tests: credit-based flow control under overload.
 //!
 //! Fault model: the ISM's consumer stalls (a sink that blocks the manager
-//! thread), so the manager stops draining. The v3 credit budget and the
-//! bounded pump→manager queue must turn that into backpressure that reaches
-//! the EXS — bounded residency everywhere — and the whole pipeline must
+//! thread), so the manager stops draining. The credit budget and the
+//! bounded reactor→manager queue must turn that into backpressure that
+//! reaches the EXS — bounded residency everywhere — and the whole pipeline must
 //! resume without loss or deadlock once the consumer recovers.
 
 use brisk::prelude::*;

@@ -241,7 +241,7 @@ fn compaction_round_trips_a_causal_mode_store() {
                     })
                     .collect();
                 let now = UtcMicros::from_micros(1_000 + (b as i64 + 1) * 250);
-                core.push_batch_seq(NodeId(node), Some(b + 1), batch, now)
+                core.push_batch_seq(NodeId(node), b + 1, batch, now)
                     .unwrap();
             }
             core.tick(UtcMicros::from_micros(1_000_000)).unwrap();

@@ -265,7 +265,7 @@ fn two_tier_tree_survives_faulted_links_with_exactly_once_delivery() {
 
 /// Satellite: a quiet subtree behind a relay must not be evicted by the
 /// root's liveness sweep. The relay's upstream exporter heartbeats its
-/// idle v3 link, standing in for every leaf behind it, so a root
+/// idle link, standing in for every leaf behind it, so a root
 /// `node_timeout` far shorter than the leaves' chatter cadence still
 /// keeps the subtree registered.
 #[test]

@@ -2,7 +2,6 @@
 
 use brisk::lis::supervisor::{spawn_exs_supervised, SupervisorConfig};
 use brisk::lis::Backoff;
-use brisk::net::LinkModel;
 use brisk::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,6 +16,19 @@ fn spawn_ism_tcp() -> brisk::ism::IsmHandle {
     server
         .spawn(TcpTransport.listen("127.0.0.1:0").unwrap())
         .unwrap()
+}
+
+/// An in-memory transport whose every connection dies abruptly (both
+/// directions, like a TCP reset) once an endpoint has sent `frames`
+/// frames.
+fn killing_transport(frames: u64) -> Arc<FaultingTransport<Arc<MemTransport>>> {
+    Arc::new(FaultingTransport::new(
+        MemTransport::new(),
+        FaultSpec {
+            kill_after_frames: Some(frames),
+            ..FaultSpec::default()
+        },
+    ))
 }
 
 /// A supervised node keeps delivering through an ISM **crash**: the first
@@ -135,10 +147,7 @@ fn flaky_link_delivers_every_record_exactly_once() {
     // at random times, not on a deterministic frame count, so that
     // degenerate schedule is an artifact of the fault model — but the
     // bound keeps the test deterministic.
-    let transport = MemTransport::with_model(LinkModel {
-        kill_after_frames: Some(60),
-        ..LinkModel::ideal()
-    });
+    let transport = killing_transport(60);
     let server = IsmServer::new(
         IsmConfig::default(),
         SyncConfig::default(),
@@ -329,10 +338,7 @@ fn slow_consumer_sees_explicit_loss_not_unbounded_memory() {
 #[test]
 fn credit_grant_stays_authoritative_across_reconnect_replay() {
     const CREDIT: u64 = 256;
-    let transport = MemTransport::with_model(LinkModel {
-        kill_after_frames: Some(60),
-        ..LinkModel::ideal()
-    });
+    let transport = killing_transport(60);
     let mut server = IsmServer::new(
         IsmConfig {
             flow: FlowConfig {

@@ -53,7 +53,7 @@ fn spawn_ismd(dir: &std::path::Path, extra: &[&str]) -> (Child, String) {
 fn batch(node: u32, seq: u64, recs: std::ops::Range<u64>) -> Message {
     Message::EventBatch {
         node: NodeId(node),
-        seq: Some(seq),
+        seq,
         records: recs
             .map(|i| {
                 EventRecord::new(
