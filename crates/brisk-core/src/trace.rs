@@ -49,7 +49,7 @@ pub enum TraceStage {
     ExsScoop = 1,
     /// EXS handed the batch containing the record to the transport.
     BatchSend = 2,
-    /// ISM pump thread decoded the record off the wire.
+    /// An ISM reactor shard decoded the record off the wire.
     PumpRecv = 3,
     /// Record admitted into the on-line sorter.
     SorterAdmit = 4,
