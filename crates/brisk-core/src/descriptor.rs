@@ -214,6 +214,24 @@ impl FieldTypes {
     pub fn as_slice(&self) -> &[ValueType] {
         &self.types[..self.len as usize]
     }
+
+    /// Append a field type; `false` (and no change) when the shape is
+    /// already at [`MAX_FIELDS`].
+    pub fn push(&mut self, t: ValueType) -> bool {
+        let len = self.len as usize;
+        if len >= MAX_FIELDS {
+            return false;
+        }
+        self.types[len] = t;
+        self.len += 1;
+        true
+    }
+
+    /// The packed form of these types (the bytes
+    /// [`RecordDescriptor::pack`] returns for the same shape).
+    pub fn packed(&self) -> PackedDescriptor {
+        PackedDescriptor::from_codes(self.as_slice().iter().map(|t| t.code()))
+    }
 }
 
 /// A packed descriptor (see [`RecordDescriptor::pack`]) held inline: it
@@ -416,6 +434,19 @@ mod tests {
         assert!(RecordDescriptor::unpack(&[0x81, 18]).is_err());
         // Empty wide descriptor can never need the wide form.
         assert!(RecordDescriptor::unpack(&[0x80]).is_err());
+    }
+
+    #[test]
+    fn field_types_push_up_to_the_limit_and_repack() {
+        let (mut types, _) = RecordDescriptor::unpack_types(&mixed().pack()).unwrap();
+        assert!(types.push(ValueType::Hlc));
+        let grown = RecordDescriptor::new(types.as_slice().to_vec()).unwrap();
+        assert_eq!(types.packed().as_bytes(), &grown.pack()[..]);
+        let (mut full, _) =
+            RecordDescriptor::unpack_types(&RecordDescriptor::six_i32().pack()).unwrap();
+        assert!(full.push(ValueType::I8) && full.push(ValueType::I8));
+        assert!(!full.push(ValueType::Hlc), "a ninth field does not fit");
+        assert_eq!(full.as_slice().len(), MAX_FIELDS);
     }
 
     #[test]

@@ -51,7 +51,10 @@ pub use ids::{CorrelationId, EventTypeId, NodeId, SensorId};
 pub use record::EventRecord;
 pub use sink::EventSink;
 pub use time::UtcMicros;
-pub use trace::{trace_stamps_dropped_total, TraceContext, TraceStage, MAX_TRACE_STAMPS};
+pub use trace::{
+    note_trace_stamps_dropped, trace_stamps_dropped_total, TraceContext, TraceStage,
+    MAX_TRACE_STAMPS,
+};
 pub use value::{Value, ValueType};
 
 /// Convenient glob-import surface: `use brisk_core::prelude::*;`.

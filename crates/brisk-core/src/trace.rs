@@ -38,6 +38,15 @@ pub fn trace_stamps_dropped_total() -> u64 {
     STAMPS_DROPPED.load(Ordering::Relaxed)
 }
 
+/// Count `n` stamps displaced by an encoder that applies
+/// [`TraceContext::stamp`]'s overflow rule to encoded stamps (the EXS
+/// stamps traced records while it transcodes them).
+pub fn note_trace_stamps_dropped(n: u64) {
+    if n > 0 {
+        STAMPS_DROPPED.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 /// A pipeline stage that can stamp a trace. Codes are stable wire
 /// constants (one byte).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -253,6 +253,8 @@ pub struct UpstreamExporter {
     cfg: RelayConfig,
     link: Uplink,
     batcher: Batcher,
+    /// The records of the batch being filled.
+    pending: Vec<EventRecord>,
     shared: Arc<RelayTelemetry>,
 }
 
@@ -278,8 +280,18 @@ impl UpstreamExporter {
             cfg,
             link,
             batcher: Batcher::new(synth),
+            pending: Vec::new(),
             shared,
         }
+    }
+
+    /// Encode the pending records as one batch under the relay's node id
+    /// and hand the frame to the link (which numbers it).
+    fn ship(&mut self) {
+        let node = self.cfg.prefix.relay_node();
+        let frame = brisk_proto::encode_batch(node, 0, &self.pending);
+        self.link.send_frame(frame, self.pending.len() as u64);
+        self.pending.clear();
     }
 
     /// Let the parent's sync rounds steer this relay's correction clock:
@@ -331,8 +343,10 @@ impl MergeOutput for UpstreamExporter {
             );
             return Ok(());
         }
-        if let Some((batch, _reason)) = self.batcher.push(rec, now) {
-            self.link.send_batch(&batch);
+        let bytes = rec.xdr_payload_size();
+        self.pending.push(rec);
+        if self.batcher.push(bytes, now).is_some() {
+            self.ship();
         }
         Ok(())
     }
@@ -356,8 +370,8 @@ impl MergeOutput for UpstreamExporter {
                 LinkEvent::Idle | LinkEvent::Lost => break,
             }
         }
-        if let Some((batch, _reason)) = self.batcher.poll_timeout(now) {
-            self.link.send_batch(&batch);
+        if self.batcher.poll_timeout(now).is_some() {
+            self.ship();
         }
         if self.link.credit_stall() == Some(true) {
             self.shared.credit_stalls.fetch_add(1, Ordering::Relaxed);
@@ -369,8 +383,8 @@ impl MergeOutput for UpstreamExporter {
     /// for the parent's acks to drain the window so an orderly stop
     /// leaves nothing only-locally-buffered.
     fn flush(&mut self) -> Result<()> {
-        if let Some((batch, _reason)) = self.batcher.flush() {
-            self.link.send_batch(&batch);
+        if self.batcher.flush().is_some() {
+            self.ship();
         }
         let deadline = Instant::now() + Duration::from_secs(2);
         while self.link.window_depth() > 0 && self.link.connected() && Instant::now() < deadline {

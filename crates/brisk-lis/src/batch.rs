@@ -11,8 +11,13 @@
 //! record has waited `flush_timeout` (latency mode). The EXS main loop
 //! drives it with the current time, so the same logic runs under real and
 //! simulated clocks.
+//!
+//! The batcher is the flush policy only: it counts what joined the
+//! pending batch and says when that batch leaves. The records stay with
+//! the sender — already transcoded into the outgoing frame on the EXS, a
+//! list of merged records on a relay's upstream exporter.
 
-use brisk_core::{EventRecord, ExsConfig, NodeId, UtcMicros};
+use brisk_core::{ExsConfig, UtcMicros};
 use std::collections::VecDeque;
 
 /// Why a batch was emitted.
@@ -28,11 +33,13 @@ pub enum FlushReason {
     Forced,
 }
 
-/// Accumulates records and decides when to emit a batch.
+/// Decides when the pending batch is emitted. Every method that returns
+/// a [`FlushReason`] has emitted the batch: the batcher starts counting
+/// the next one, and the caller ships what it buffered.
 #[derive(Debug)]
 pub struct Batcher {
     cfg: ExsConfig,
-    pending: Vec<EventRecord>,
+    pending_records: usize,
     pending_bytes: usize,
     oldest_enqueued_at: Option<UtcMicros>,
     batches_emitted: u64,
@@ -42,10 +49,9 @@ pub struct Batcher {
 impl Batcher {
     /// New batcher with the given knobs.
     pub fn new(cfg: ExsConfig) -> Self {
-        let cap = cfg.max_batch_records;
         Batcher {
             cfg,
-            pending: Vec::with_capacity(cap),
+            pending_records: 0,
             pending_bytes: 0,
             oldest_enqueued_at: None,
             batches_emitted: 0,
@@ -55,7 +61,7 @@ impl Batcher {
 
     /// Number of records currently buffered.
     pub fn pending_records(&self) -> usize {
-        self.pending.len()
+        self.pending_records
     }
 
     /// Estimated wire size of the buffered records.
@@ -73,34 +79,31 @@ impl Batcher {
         self.records_emitted
     }
 
-    /// Add a record (stamped as arriving at `now`). Returns a full batch if
-    /// one of the size knobs tripped.
-    pub fn push(
-        &mut self,
-        rec: EventRecord,
-        now: UtcMicros,
-    ) -> Option<(Vec<EventRecord>, FlushReason)> {
-        self.pending_bytes += rec.xdr_payload_size();
-        self.pending.push(rec);
+    /// Count one record of `bytes` (its `EventRecord::xdr_payload_size`)
+    /// joining the batch at `now`. Returns why the batch is emitted if one
+    /// of the size knobs tripped.
+    pub fn push(&mut self, bytes: usize, now: UtcMicros) -> Option<FlushReason> {
+        self.pending_bytes += bytes;
+        self.pending_records += 1;
         if self.oldest_enqueued_at.is_none() {
             self.oldest_enqueued_at = Some(now);
         }
-        if self.pending.len() >= self.cfg.max_batch_records {
-            return Some((self.take(), FlushReason::Records));
+        if self.pending_records >= self.cfg.max_batch_records {
+            return Some(self.emit(FlushReason::Records));
         }
         if self.pending_bytes >= self.cfg.max_batch_bytes {
-            return Some((self.take(), FlushReason::Bytes));
+            return Some(self.emit(FlushReason::Bytes));
         }
         None
     }
 
     /// Check the latency knob: if the oldest buffered record has waited at
     /// least `flush_timeout`, emit what we have.
-    pub fn poll_timeout(&mut self, now: UtcMicros) -> Option<(Vec<EventRecord>, FlushReason)> {
+    pub fn poll_timeout(&mut self, now: UtcMicros) -> Option<FlushReason> {
         let oldest = self.oldest_enqueued_at?;
         let waited = now.micros_since(oldest);
         if waited >= self.cfg.flush_timeout.as_micros() as i64 {
-            Some((self.take(), FlushReason::Timeout))
+            Some(self.emit(FlushReason::Timeout))
         } else {
             None
         }
@@ -113,20 +116,21 @@ impl Batcher {
         Some(self.cfg.flush_timeout.as_micros() as i64 - now.micros_since(oldest))
     }
 
-    /// Unconditionally emit everything buffered (may be empty).
-    pub fn flush(&mut self) -> Option<(Vec<EventRecord>, FlushReason)> {
-        if self.pending.is_empty() {
+    /// Unconditionally emit everything buffered, if anything is.
+    pub fn flush(&mut self) -> Option<FlushReason> {
+        if self.pending_records == 0 {
             return None;
         }
-        Some((self.take(), FlushReason::Forced))
+        Some(self.emit(FlushReason::Forced))
     }
 
-    fn take(&mut self) -> Vec<EventRecord> {
+    fn emit(&mut self, reason: FlushReason) -> FlushReason {
+        self.batches_emitted += 1;
+        self.records_emitted += self.pending_records as u64;
+        self.pending_records = 0;
         self.pending_bytes = 0;
         self.oldest_enqueued_at = None;
-        self.batches_emitted += 1;
-        self.records_emitted += self.pending.len() as u64;
-        std::mem::take(&mut self.pending)
+        reason
     }
 }
 
@@ -137,9 +141,10 @@ impl Batcher {
 /// replays whatever is still unacked so an abrupt disconnect loses
 /// nothing. Shared by the EXS and the relay's upstream exporter.
 ///
-/// The window holds wire bytes, not records: each batch is encoded once,
-/// with its sequence number, when it is pushed, and a replay resends
-/// exactly those bytes — no record is cloned or re-encoded.
+/// The window holds wire bytes, not records: each sender hands over its
+/// batch's encoded frame, the window writes the batch's sequence number
+/// into it, and a replay resends exactly those bytes — no record is
+/// cloned or re-encoded.
 ///
 /// The window is bounded: pushing into a full window evicts the oldest
 /// unacked batch (reported to the caller so it can be counted as lost)
@@ -203,11 +208,11 @@ impl SendWindow {
         self.unacked_records
     }
 
-    /// Assign the next sequence number to `records`, encode them once as
-    /// `node`'s batch frame with that number, and retain the frame for
+    /// Assign the next sequence number to a batch of `records` records,
+    /// write it into the batch's encoded `frame` and retain the frame for
     /// replay. The returned [`Pushed`] borrows the retained frame for the
     /// first send.
-    pub fn push(&mut self, node: NodeId, records: &[EventRecord]) -> Pushed<'_> {
+    pub fn push(&mut self, mut frame: Vec<u8>, records: u64) -> Pushed<'_> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let evicted = if self.unacked.len() >= self.capacity {
@@ -218,12 +223,12 @@ impl SendWindow {
         } else {
             None
         };
-        let n = records.len() as u64;
-        self.unacked_records += n;
+        brisk_proto::set_batch_seq(&mut frame, seq);
+        self.unacked_records += records;
         self.unacked.push_back(Windowed {
             seq,
-            records: n,
-            frame: brisk_proto::encode_batch(node, seq, records),
+            records,
+            frame,
         });
         Pushed {
             seq,
@@ -256,7 +261,8 @@ impl SendWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brisk_core::{EventTypeId, SensorId, Value};
+    use brisk_core::{EventRecord, EventTypeId, NodeId, SensorId, Value};
+    use brisk_proto::encode_batch;
     use std::time::Duration;
 
     fn rec(seq: u64) -> EventRecord {
@@ -280,35 +286,80 @@ mod tests {
         }
     }
 
+    /// A batcher and the records it has not yet emitted, as a sender
+    /// holds them.
+    struct Sender {
+        batcher: Batcher,
+        pending: Vec<EventRecord>,
+    }
+
+    impl Sender {
+        fn new(cfg: ExsConfig) -> Self {
+            Sender {
+                batcher: Batcher::new(cfg),
+                pending: Vec::new(),
+            }
+        }
+
+        fn ship(&mut self, reason: Option<FlushReason>) -> Option<(Vec<EventRecord>, FlushReason)> {
+            reason.map(|r| (std::mem::take(&mut self.pending), r))
+        }
+
+        fn push(
+            &mut self,
+            r: EventRecord,
+            now: UtcMicros,
+        ) -> Option<(Vec<EventRecord>, FlushReason)> {
+            let bytes = r.xdr_payload_size();
+            self.pending.push(r);
+            let reason = self.batcher.push(bytes, now);
+            self.ship(reason)
+        }
+
+        fn poll_timeout(&mut self, now: UtcMicros) -> Option<(Vec<EventRecord>, FlushReason)> {
+            let reason = self.batcher.poll_timeout(now);
+            self.ship(reason)
+        }
+
+        fn flush(&mut self) -> Option<(Vec<EventRecord>, FlushReason)> {
+            let reason = self.batcher.flush();
+            self.ship(reason)
+        }
+    }
+
+    fn frame(records: &[EventRecord]) -> (Vec<u8>, u64) {
+        (encode_batch(NodeId(1), 0, records), records.len() as u64)
+    }
+
     #[test]
     fn record_count_knob_trips() {
-        let mut b = Batcher::new(cfg(3, 1 << 20, 40));
+        let mut b = Sender::new(cfg(3, 1 << 20, 40));
         let now = UtcMicros::ZERO;
         assert!(b.push(rec(0), now).is_none());
         assert!(b.push(rec(1), now).is_none());
         let (batch, reason) = b.push(rec(2), now).unwrap();
         assert_eq!(batch.len(), 3);
         assert_eq!(reason, FlushReason::Records);
-        assert_eq!(b.pending_records(), 0);
-        assert_eq!(b.batches_emitted(), 1);
-        assert_eq!(b.records_emitted(), 3);
+        assert_eq!(b.batcher.pending_records(), 0);
+        assert_eq!(b.batcher.batches_emitted(), 1);
+        assert_eq!(b.batcher.records_emitted(), 3);
     }
 
     #[test]
     fn byte_knob_trips() {
-        // Each six-i32 record is 56 XDR bytes; 100 bytes → 2 records.
-        let mut b = Batcher::new(cfg(1000, 100, 40));
+        // Each six-i32 record counts 52 XDR bytes; 100 bytes → 2 records.
+        let mut b = Sender::new(cfg(1000, 100, 40));
         let now = UtcMicros::ZERO;
         assert!(b.push(rec(0), now).is_none());
         let (batch, reason) = b.push(rec(1), now).unwrap();
         assert_eq!(reason, FlushReason::Bytes);
         assert_eq!(batch.len(), 2);
-        assert_eq!(b.pending_bytes(), 0);
+        assert_eq!(b.batcher.pending_bytes(), 0);
     }
 
     #[test]
     fn timeout_knob_trips_on_oldest_record() {
-        let mut b = Batcher::new(cfg(1000, 1 << 20, 40));
+        let mut b = Sender::new(cfg(1000, 1 << 20, 40));
         let t0 = UtcMicros::ZERO;
         b.push(rec(0), t0);
         // 30 ms later: not yet.
@@ -322,7 +373,7 @@ mod tests {
 
     #[test]
     fn timeout_resets_after_flush() {
-        let mut b = Batcher::new(cfg(1000, 1 << 20, 40));
+        let mut b = Sender::new(cfg(1000, 1 << 20, 40));
         let t0 = UtcMicros::ZERO;
         b.push(rec(0), t0);
         b.poll_timeout(t0 + Duration::from_millis(50)).unwrap();
@@ -342,9 +393,10 @@ mod tests {
 
     #[test]
     fn time_to_deadline_counts_down() {
-        let mut b = Batcher::new(cfg(10, 1 << 20, 40));
+        let mut b = Sender::new(cfg(10, 1 << 20, 40));
         let t0 = UtcMicros::ZERO;
         b.push(rec(0), t0);
+        let b = b.batcher;
         assert_eq!(b.time_to_deadline(t0), Some(40_000));
         assert_eq!(
             b.time_to_deadline(t0 + Duration::from_millis(15)),
@@ -358,7 +410,7 @@ mod tests {
 
     #[test]
     fn forced_flush_emits_partial_batch() {
-        let mut b = Batcher::new(cfg(10, 1 << 20, 40));
+        let mut b = Sender::new(cfg(10, 1 << 20, 40));
         b.push(rec(0), UtcMicros::ZERO);
         let (batch, reason) = b.flush().unwrap();
         assert_eq!(batch.len(), 1);
@@ -371,7 +423,8 @@ mod tests {
         let mut w = SendWindow::new(8);
         assert_eq!(w.next_seq(), 1);
         for i in 0..5u64 {
-            let pushed = w.push(NodeId(1), &[rec(i)]);
+            let (f, n) = frame(&[rec(i)]);
+            let pushed = w.push(f, n);
             assert_eq!(pushed.seq, i + 1);
             assert!(pushed.evicted.is_none());
         }
@@ -388,15 +441,19 @@ mod tests {
         assert_eq!(w.depth(), 0);
         assert_eq!(w.unacked_records(), 0);
         // Sequence numbers keep growing after acks.
-        assert_eq!(w.push(NodeId(1), &[rec(9)]).seq, 6);
+        let (f, n) = frame(&[rec(9)]);
+        assert_eq!(w.push(f, n).seq, 6);
     }
 
     #[test]
     fn send_window_evicts_oldest_when_full() {
         let mut w = SendWindow::new(2);
-        assert!(w.push(NodeId(1), &[rec(1)]).evicted.is_none());
-        assert!(w.push(NodeId(1), &[rec(2), rec(3)]).evicted.is_none());
-        let pushed = w.push(NodeId(1), &[rec(4)]);
+        let (f, n) = frame(&[rec(1)]);
+        assert!(w.push(f, n).evicted.is_none());
+        let (f, n) = frame(&[rec(2), rec(3)]);
+        assert!(w.push(f, n).evicted.is_none());
+        let (f, n) = frame(&[rec(4)]);
+        let pushed = w.push(f, n);
         assert_eq!(pushed.seq, 3);
         assert_eq!(pushed.evicted, Some(1), "the one-record batch 1 fell out");
         assert_eq!(w.depth(), 2);
@@ -412,7 +469,8 @@ mod tests {
         let mut first_sends = Vec::new();
         for i in 0..4u64 {
             let batch: Vec<EventRecord> = (0..=i).map(|k| rec(10 * i + k)).collect();
-            let pushed = w.push(NodeId(1), &batch);
+            let (f, n) = frame(&batch);
+            let pushed = w.push(f, n);
             // The first send is the encoding of the sequenced batch.
             let expected = Message::EventBatch {
                 node: NodeId(1),
@@ -432,7 +490,7 @@ mod tests {
 
     #[test]
     fn batches_preserve_order() {
-        let mut b = Batcher::new(cfg(4, 1 << 20, 40));
+        let mut b = Sender::new(cfg(4, 1 << 20, 40));
         let mut emitted = Vec::new();
         for i in 0..10 {
             if let Some((batch, _)) = b.push(rec(i), UtcMicros::ZERO) {

@@ -29,12 +29,18 @@
 //! simulated clock that stops advancing freezes those deadlines — tests
 //! and examples that drive a `SimClock` must keep advancing it (or call
 //! the handle's `stop`, which force-flushes) for timeout flushes to fire.
+//!
+//! Steps 1–3 are one pass per record: each record is transcoded straight
+//! from its native ring bytes into the frame of the batch being filled
+//! ([`BatchBuilder`]), corrected and stamped on the way. No `EventRecord`
+//! is built between the ring and the socket.
 
 use crate::batch::{Batcher, FlushReason};
 use crate::uplink::{LinkEvent, Uplink, UplinkStats, UplinkTelemetry};
 use brisk_clock::{Clock, CorrectedClock, Hlc};
-use brisk_core::{BriskError, EventRecord, ExsConfig, NodeId, Result, TraceStage};
+use brisk_core::{BriskError, ExsConfig, NodeId, Result};
 use brisk_net::Connection;
+use brisk_proto::{BatchBuilder, Scoop};
 use brisk_ringbuf::RingSet;
 use brisk_telemetry::{Histogram, Registry, StageTimer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -82,6 +88,10 @@ pub struct ExsStats {
     pub hello_acks: u64,
     /// Inbound control frames that failed to decode and were skipped.
     pub decode_errors: u64,
+    /// HLC stamps not attached because the record was already at
+    /// `MAX_FIELDS` without an `X_HLC` field; the ISM orders such a
+    /// record by its physical timestamp.
+    pub hlc_full_skips: u64,
     /// Nanoseconds spent doing work (excludes waiting); the E2 utilization
     /// numerator.
     pub busy_nanos: u64,
@@ -103,6 +113,7 @@ pub struct ExsTelemetry {
     flush_timeout: AtomicU64,
     flush_forced: AtomicU64,
     credit_deferrals: AtomicU64,
+    hlc_full_skips: AtomicU64,
     busy_nanos: AtomicU64,
     iterations: AtomicU64,
     /// Per-step drain+batch latency in µs, on the node's clock (so it is
@@ -135,6 +146,7 @@ impl ExsTelemetry {
             heartbeats_sent: l.heartbeats_sent,
             hello_acks: l.hello_acks,
             decode_errors: l.decode_errors,
+            hlc_full_skips: ld(&self.hlc_full_skips),
             busy_nanos: ld(&self.busy_nanos),
             iterations: ld(&self.iterations),
         }
@@ -152,7 +164,7 @@ impl ExsTelemetry {
     pub fn bind(self: &Arc<Self>, node: NodeId, registry: &Registry) {
         type Field = fn(&ExsStats) -> u64;
         let n = node.0.to_string();
-        let counters: [(&str, &str, Field); 15] = [
+        let counters: [(&str, &str, Field); 16] = [
             (
                 "brisk_exs_records_drained_total",
                 "Records drained from sensor rings",
@@ -215,6 +227,11 @@ impl ExsTelemetry {
                 "brisk_exs_decode_errors_total",
                 "Inbound control frames that failed to decode and were skipped",
                 |s| s.decode_errors,
+            ),
+            (
+                "brisk_exs_hlc_full_skips_total",
+                "HLC stamps not attached because the record already had MAX_FIELDS fields",
+                |s| s.hlc_full_skips,
             ),
             (
                 "brisk_exs_busy_nanos_total",
@@ -299,14 +316,64 @@ pub struct ExternalSensor {
     node: NodeId,
     rings: Arc<RingSet>,
     clock: Arc<CorrectedClock<Arc<dyn Clock>>>,
-    link: Uplink,
     cfg: ExsConfig,
-    batcher: Batcher,
     shared: Arc<ExsTelemetry>,
-    drain_buf: Vec<EventRecord>,
     /// Hybrid logical clock, ticked per record at scoop time when
     /// `cfg.stamp_hlc` is set (the stamp rides as `X_HLC`).
     hlc: Arc<Hlc>,
+    out: Outbox,
+}
+
+/// The batch being filled and the link it leaves on.
+struct Outbox {
+    batch: BatchBuilder,
+    batcher: Batcher,
+    link: Uplink,
+    clock: Arc<CorrectedClock<Arc<dyn Clock>>>,
+    shared: Arc<ExsTelemetry>,
+    /// Records scooped but not yet added to `records_drained`.
+    scooped: u64,
+}
+
+impl Outbox {
+    /// Transcode one native ring record onto the batch, shipping the
+    /// batch when a size knob trips.
+    fn push(&mut self, native: &[u8], scoop: &Scoop) -> Result<()> {
+        let t = self.batch.push_native(native, scoop)?;
+        debug_assert_eq!(t.used, native.len(), "one record per ring frame");
+        self.scooped += 1;
+        if t.hlc_dropped {
+            self.shared.hlc_full_skips.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(reason) = self.batcher.push(t.payload_size, scoop.at) {
+            self.ship(reason);
+        }
+        Ok(())
+    }
+
+    /// Count scooped records as drained (before any of them counts as
+    /// sent, so the drained total never trails the sent total).
+    fn count_drained(&mut self) {
+        let n = std::mem::take(&mut self.scooped);
+        self.shared.records_drained.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Stamp the batch's send time, close its frame and hand it to the
+    /// uplink.
+    fn ship(&mut self, reason: FlushReason) {
+        self.count_drained();
+        let records = self.batch.len() as u64;
+        let frame = self.batch.finish(self.clock.now());
+        self.link.send_frame(frame, records);
+        self.shared.batch_records.record(records);
+        let reason_counter = match reason {
+            FlushReason::Records => &self.shared.flush_records,
+            FlushReason::Bytes => &self.shared.flush_bytes,
+            FlushReason::Timeout => &self.shared.flush_timeout,
+            FlushReason::Forced => &self.shared.flush_forced,
+        };
+        reason_counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 impl ExternalSensor {
@@ -324,7 +391,7 @@ impl ExternalSensor {
         cfg: ExsConfig,
     ) -> Result<Self> {
         let mut exs = Self::with_link(node, rings, raw_clock, cfg, |link| link)?;
-        exs.link.attach(conn, exs.clock.raw_now())?;
+        exs.out.link.attach(conn, exs.clock.raw_now())?;
         Ok(exs)
     }
 
@@ -350,12 +417,17 @@ impl ExternalSensor {
         Ok(ExternalSensor {
             node,
             rings,
+            out: Outbox {
+                batch: BatchBuilder::new(node),
+                batcher: Batcher::new(cfg.clone()),
+                link: link(uplink),
+                clock: Arc::clone(&clock),
+                shared: Arc::clone(&shared),
+                scooped: 0,
+            },
             clock,
-            link: link(uplink),
-            batcher: Batcher::new(cfg.clone()),
             cfg,
             shared,
-            drain_buf: Vec::with_capacity(512),
             hlc: Hlc::new(),
         })
     }
@@ -387,26 +459,34 @@ impl ExternalSensor {
         self.shared.bind(self.node, registry);
     }
 
-    /// Correct, stamp and batch one scoop of records, handing every full
-    /// batch to the uplink.
-    fn scoop(&mut self, records: &mut Vec<EventRecord>) {
-        // The *effective* correction: while a slew is smearing a backward
-        // adjustment, records get the partially applied value, matching
-        // the clock the later trace stamps read.
-        let correction = self.clock.effective_correction_us();
-        let now = self.clock.now();
-        for mut rec in records.drain(..) {
-            rec.apply_correction(correction);
-            // After the correction: scoop time and every later stamp are
-            // on the synchronized clock, only the notice stamp was shifted.
-            rec.stamp_trace(TraceStage::ExsScoop, now);
-            if self.cfg.stamp_hlc {
-                rec.set_hlc(self.hlc.tick(now));
-            }
-            if let Some((batch, reason)) = self.batcher.push(rec, now) {
-                self.send_batch(batch, reason);
-            }
-        }
+    /// Scoop up to `max` records from the rings into the outgoing batch:
+    /// each is corrected, stamped and transcoded straight from its ring
+    /// bytes, and every batch that fills is shipped. Returns the number
+    /// of records scooped.
+    fn scoop(&mut self, max: usize) -> Result<usize> {
+        let (clock, hlc, out) = (&self.clock, &self.hlc, &mut self.out);
+        let stamp_hlc = self.cfg.stamp_hlc;
+        let scooped = self.rings.drain_frames(
+            max,
+            // Read once the rings' ends are marked, so the scoop time is
+            // later than every scooped record's notice. The *effective*
+            // correction: while a slew is smearing a backward adjustment,
+            // records get the partially applied value, matching the clock
+            // the later trace stamps read.
+            || (clock.effective_correction_us(), clock.now()),
+            |&(correction_us, at), native| {
+                // Scoop time and every later stamp are on the synchronized
+                // clock; only the sensor-side stamps get the correction.
+                let scoop = Scoop {
+                    correction_us,
+                    at,
+                    hlc: stamp_hlc.then(|| hlc.tick(at)),
+                };
+                out.push(native, &scoop)
+            },
+        );
+        out.count_drained();
+        scooped
     }
 
     /// Run one iteration: drain, batch, ship, answer control traffic.
@@ -418,34 +498,27 @@ impl ExternalSensor {
         //    spent, leave new records parked in the rings (where overruns
         //    land on the rings' own drop accounting) instead of piling
         //    them into the batcher and window. Acks reopen the tap.
-        if self.link.credit_stall().is_some() {
+        if self.out.link.credit_stall().is_some() {
             self.shared.credit_deferrals.fetch_add(1, Ordering::Relaxed);
         }
-        let paused = !self.link.ready();
+        let paused = !self.out.link.ready();
 
         // 1. Drain sensor rings, correct and batch. The span is timed on
         //    the node's clock so it is meaningful (and deterministic)
         //    under simulation.
         let drain_hist = Arc::clone(&self.shared.drain_us);
         let drain_timer = StageTimer::start(&drain_hist, self.clock.now().as_micros());
-        let mut pending = std::mem::take(&mut self.drain_buf);
         let drained = if paused {
             0
         } else {
-            self.rings
-                .drain_into(self.cfg.max_batch_records * 2, &mut pending)?
+            self.scoop(self.cfg.max_batch_records * 2)?
         };
-        self.shared
-            .records_drained
-            .fetch_add(drained as u64, Ordering::Relaxed);
-        self.scoop(&mut pending);
-        self.drain_buf = pending; // keep the allocation (workhorse buffer)
 
         // 2. Latency control: flush a stale partial batch. Deferred while
         //    paused — the flush would put more records in flight.
         if !paused {
-            if let Some((batch, reason)) = self.batcher.poll_timeout(self.clock.now()) {
-                self.send_batch(batch, reason);
+            if let Some(reason) = self.out.batcher.poll_timeout(self.clock.now()) {
+                self.out.ship(reason);
             }
         }
         drain_timer.stop(self.clock.now().as_micros());
@@ -462,14 +535,15 @@ impl ExternalSensor {
             self.cfg.idle_sleep
         } else {
             let mut w = self.cfg.idle_sleep;
-            if let Some(dl) = self.batcher.time_to_deadline(self.clock.now()) {
+            if let Some(dl) = self.out.batcher.time_to_deadline(self.clock.now()) {
                 let dl = Duration::from_micros(dl.max(0) as u64);
                 w = w.min(dl.max(Duration::from_micros(1)));
             }
             w
         };
-        let event = self.link.poll(self.clock.raw_now(), wait)?;
-        let worked = work_start.elapsed().saturating_sub(self.link.waited());
+        let link = &mut self.out.link;
+        let event = link.poll(self.clock.raw_now(), wait)?;
+        let worked = work_start.elapsed().saturating_sub(link.waited());
         self.shared
             .busy_nanos
             .fetch_add(worked.as_nanos() as u64, Ordering::Relaxed);
@@ -480,8 +554,7 @@ impl ExternalSensor {
                 // The ISM still holds this node's previous connection and
                 // rejected the reconnect's Hello as a duplicate: retry
                 // after a backoff instead of stopping for good.
-                self.link
-                    .drop_connection("reconnect Hello rejected as a duplicate");
+                link.drop_connection("reconnect Hello rejected as a duplicate");
                 ExsStep::Busy
             }
             LinkEvent::Shutdown { .. } => ExsStep::Shutdown,
@@ -490,22 +563,6 @@ impl ExternalSensor {
             LinkEvent::Idle if busy => ExsStep::Busy,
             LinkEvent::Idle => ExsStep::Idle,
         })
-    }
-
-    fn send_batch(&mut self, mut records: Vec<EventRecord>, reason: FlushReason) {
-        let send_ts = self.clock.now();
-        for rec in records.iter_mut() {
-            rec.stamp_trace(TraceStage::BatchSend, send_ts);
-        }
-        self.link.send_batch(&records);
-        self.shared.batch_records.record(records.len() as u64);
-        let reason_counter = match reason {
-            FlushReason::Records => &self.shared.flush_records,
-            FlushReason::Bytes => &self.shared.flush_bytes,
-            FlushReason::Timeout => &self.shared.flush_timeout,
-            FlushReason::Forced => &self.shared.flush_forced,
-        };
-        reason_counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Run until `stop` is raised or the ISM shuts us down. Flushes pending
@@ -525,19 +582,11 @@ impl ExternalSensor {
     /// final batches stay in the retransmit window. Consumes the EXS and
     /// returns its final stats.
     pub fn finish(mut self) -> Result<ExsStats> {
-        let mut pending = std::mem::take(&mut self.drain_buf);
-        self.rings.drain_into(usize::MAX, &mut pending)?;
-        // The final drain counts too: without this, records that only
-        // leave the rings during teardown would vanish from the drained
-        // total while still showing up in records_sent.
-        self.shared
-            .records_drained
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
-        self.scoop(&mut pending);
-        if let Some((batch, reason)) = self.batcher.flush() {
-            self.send_batch(batch, reason);
+        self.scoop(usize::MAX)?;
+        if let Some(reason) = self.out.batcher.flush() {
+            self.out.ship(reason);
         }
-        self.link.goodbye();
+        self.out.link.goodbye();
         Ok(self.shared.stats())
     }
 }
@@ -624,7 +673,8 @@ mod tests {
     use super::*;
     use crate::uplink::CONTROL_ERROR_BUDGET;
     use brisk_clock::{SimClock, SimTimeSource, SystemClock};
-    use brisk_core::{EventTypeId, UtcMicros, Value};
+    use brisk_core::descriptor::MAX_FIELDS;
+    use brisk_core::{EventTypeId, HlcStamp, TraceStage, UtcMicros, Value};
     use brisk_net::{LinkModel, MemTransport, Transport};
     use brisk_proto::{Message, UNLIMITED_CREDIT};
 
@@ -974,7 +1024,7 @@ mod tests {
         r.exs.step().unwrap();
         assert_eq!(r.exs.stats().batches_sent, 3);
         // All three batches are unacked and windowed.
-        assert_eq!(r.exs.link.window_depth(), 3);
+        assert_eq!(r.exs.out.link.window_depth(), 3);
 
         // Cumulative ack for seq 2 releases the first two.
         r.ism_side
@@ -987,7 +1037,7 @@ mod tests {
             )
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.link.window_depth(), 1);
+        assert_eq!(r.exs.out.link.window_depth(), 1);
         assert_eq!(r.exs.stats().acks_received, 1);
     }
 
@@ -1003,7 +1053,7 @@ mod tests {
             .send(&Message::HelloAck { credit: 2 }.encode())
             .unwrap();
         r.exs.step().unwrap();
-        assert_eq!(r.exs.link.credit(), 2);
+        assert_eq!(r.exs.out.link.credit(), 2);
 
         emit_n(&r.rings, 3);
         r.src.advance_by(10);
@@ -1074,7 +1124,7 @@ mod tests {
         // Records are in flight, yet the unlimited grant is never spent:
         // the balance reads 0 (a plain `u64::MAX as i64` would read -1
         // minus the in-flight count).
-        assert_eq!(r.exs.link.window_depth(), 2);
+        assert_eq!(r.exs.out.link.window_depth(), 2);
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("brisk_exs_credit_balance"), Some(0));
         assert_eq!(snap.counter_total("brisk_exs_credit_deferred_total"), 0);
@@ -1094,7 +1144,7 @@ mod tests {
         let stats = r.exs.stats();
         assert_eq!(stats.batches_sent, 3);
         assert_eq!(stats.window_evicted, 1);
-        assert_eq!(r.exs.link.window_depth(), 2);
+        assert_eq!(r.exs.out.link.window_depth(), 2);
     }
 
     #[test]
@@ -1218,6 +1268,48 @@ mod tests {
             }
             other => panic!("expected batch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn hlc_stamp_that_does_not_fit_is_counted() {
+        use brisk_telemetry::Registry;
+        let mut cfg = ExsConfig::default();
+        cfg.max_batch_records = 3;
+        cfg.stamp_hlc = true;
+        let mut r = rig(cfg, 0);
+        recv_msg(&mut r.ism_side); // hello
+        let registry = Registry::new();
+        r.exs.bind_telemetry(&registry);
+        let mut port = r.rings.register();
+        r.src.advance_by(50);
+        let at = UtcMicros::from_micros(50);
+        // Full, no X_HLC: the stamp is dropped and counted.
+        port.emit(EventTypeId(1), at, vec![Value::I32(0); MAX_FIELDS])
+            .unwrap();
+        // Full, with an X_HLC: the stamp replaces it.
+        let mut with_hlc = vec![Value::I32(0); MAX_FIELDS - 1];
+        with_hlc.push(Value::Hlc(HlcStamp::ZERO));
+        port.emit(EventTypeId(1), at, with_hlc).unwrap();
+        // Room to spare: the stamp is appended.
+        port.emit(EventTypeId(1), at, vec![Value::I32(1)]).unwrap();
+        r.exs.step().unwrap();
+        match recv_msg(&mut r.ism_side) {
+            Message::EventBatch { records, .. } => {
+                assert_eq!(records[0].fields, vec![Value::I32(0); MAX_FIELDS]);
+                assert_eq!(records[0].hlc(), None);
+                assert_eq!(records[1].fields.len(), MAX_FIELDS);
+                assert!(records[1].hlc().is_some_and(|h| h.physical == at));
+                assert_eq!(records[2].fields.len(), 2);
+                assert!(records[2].hlc().is_some_and(|h| h.physical == at));
+            }
+            other => panic!("expected batch, got {other:?}"),
+        }
+        assert_eq!(r.exs.stats().hlc_full_skips, 1);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter_labeled("brisk_exs_hlc_full_skips_total", &[("node", "7")]),
+            Some(1)
+        );
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! BRISK has two senders and one protocol. A node's EXS ships the records
 //! it scoops from the rings, and a relay ISM ships its merged stream to
-//! its parent "as if it were a single EXS". Both hand their batches to an
-//! [`Uplink`], which owns everything about the link that has to outlive
-//! one connection:
+//! its parent "as if it were a single EXS". Both hand their encoded batch
+//! frames to an [`Uplink`], which owns everything about the link that has
+//! to outlive one connection:
 //!
 //! - the `Hello` preamble and the `HelloAck` that confirms it;
 //! - the credit gate: the ISM's absolute in-flight budget, granted on
 //!   `HelloAck` and re-advertised on every `BatchAck`;
-//! - the [`SendWindow`]: each batch is framed once with its sequence
-//!   number, kept until a cumulative `BatchAck` covers it, and replayed
+//! - the [`SendWindow`]: each batch frame gets its sequence number, is
+//!   kept until a cumulative `BatchAck` covers it, and is replayed
 //!   after a reconnect, so nothing handed to a dead connection is lost
 //!   (the ISM drops replays it already has by `(node, seq)`);
 //! - reconnects, when built with a [`ConnectFn`]: decorrelated-jitter
@@ -27,7 +27,7 @@
 
 use crate::batch::SendWindow;
 use brisk_clock::{Clock, CorrectedClock};
-use brisk_core::{BriskError, EventRecord, NodeId, Result, UtcMicros};
+use brisk_core::{BriskError, NodeId, Result, UtcMicros};
 use brisk_net::Connection;
 use brisk_proto::{Message, UNLIMITED_CREDIT};
 use brisk_telemetry::Histogram;
@@ -509,11 +509,13 @@ impl Uplink {
         Ok(())
     }
 
-    /// Window a batch and send it if the link is up. Its records count as
-    /// sent here, once: on a dead link the batch waits in the window for
-    /// the next connection's replay, which counts only as a retransmit.
-    pub fn send_batch(&mut self, records: &[EventRecord]) {
-        let pushed = self.window.push(self.node, records);
+    /// Window an encoded batch frame of `records` records and send it if
+    /// the link is up. The window writes the batch's sequence number into
+    /// the frame's header. Its records count as sent here, once: on a dead
+    /// link the batch waits in the window for the next connection's
+    /// replay, which counts only as a retransmit.
+    pub fn send_frame(&mut self, frame: Vec<u8>, records: u64) {
+        let pushed = self.window.push(frame, records);
         if pushed.evicted.is_some() {
             self.entered.pop_front();
             self.shared.window_evicted.fetch_add(1, Ordering::Relaxed);
@@ -529,7 +531,7 @@ impl Uplink {
         let sent = self.conn.as_mut().map(|c| c.send(pushed.frame));
         self.shared
             .records_sent
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
+            .fetch_add(records, Ordering::Relaxed);
         self.shared.batches_sent.fetch_add(1, Ordering::Relaxed);
         match sent {
             Some(Ok(())) => self.last_send_us = self.pacing_us,
@@ -686,7 +688,7 @@ impl Uplink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brisk_core::{EventTypeId, SensorId, Value};
+    use brisk_core::{EventRecord, EventTypeId, SensorId, Value};
     use brisk_net::{Listener, MemTransport, Transport};
     use std::sync::atomic::AtomicU32;
 
@@ -700,6 +702,12 @@ mod tests {
             vec![Value::U64(seq)],
         )
         .unwrap()
+    }
+
+    /// Ship `records` as one batch, the way the relay exporter does.
+    fn send_batch(link: &mut Uplink, records: &[EventRecord]) {
+        let frame = brisk_proto::encode_batch(NodeId(3), 0, records);
+        link.send_frame(frame, records.len() as u64);
     }
 
     fn at(ms: i64) -> UtcMicros {
@@ -808,8 +816,8 @@ mod tests {
         send(&mut server, Message::HelloAck { credit: 5 });
         link.poll(at(0), Duration::from_millis(100)).unwrap();
         assert_eq!(link.credit(), 5);
-        link.send_batch(&[rec(1)]);
-        link.send_batch(&[rec(2), rec(3)]);
+        send_batch(&mut link, &[rec(1)]);
+        send_batch(&mut link, &[rec(2), rec(3)]);
         recv_msg(&mut server);
         recv_msg(&mut server);
         send(&mut server, Message::BatchAck { seq: 1, credit: 5 });
@@ -857,7 +865,7 @@ mod tests {
         assert_eq!(link.poll(at(1), Duration::ZERO).unwrap(), LinkEvent::Lost);
         assert!(!link.ready());
         // Counted once, on entering the window, though nothing can send it.
-        link.send_batch(&[rec(1), rec(2)]);
+        send_batch(&mut link, &[rec(1), rec(2)]);
         assert_eq!(link.window_depth(), 1);
         assert_eq!(stats(&link).records_sent, 2);
         assert_eq!(link.poll(at(2), Duration::ZERO).unwrap(), LinkEvent::Lost);

@@ -17,6 +17,43 @@ fn rec(seq: u64, payload: usize) -> EventRecord {
     .unwrap()
 }
 
+/// A batcher and the records it has not yet emitted, as a sender holds
+/// them: a flush reason hands the whole pending list over.
+struct Sender {
+    batcher: Batcher,
+    pending: Vec<EventRecord>,
+}
+
+impl Sender {
+    fn new(cfg: ExsConfig) -> Self {
+        Sender {
+            batcher: Batcher::new(cfg),
+            pending: Vec::new(),
+        }
+    }
+
+    fn ship(&mut self, reason: Option<FlushReason>) -> Option<(Vec<EventRecord>, FlushReason)> {
+        reason.map(|r| (std::mem::take(&mut self.pending), r))
+    }
+
+    fn push(&mut self, r: EventRecord, now: UtcMicros) -> Option<(Vec<EventRecord>, FlushReason)> {
+        let bytes = r.xdr_payload_size();
+        self.pending.push(r);
+        let reason = self.batcher.push(bytes, now);
+        self.ship(reason)
+    }
+
+    fn poll_timeout(&mut self, now: UtcMicros) -> Option<(Vec<EventRecord>, FlushReason)> {
+        let reason = self.batcher.poll_timeout(now);
+        self.ship(reason)
+    }
+
+    fn flush(&mut self) -> Option<(Vec<EventRecord>, FlushReason)> {
+        let reason = self.batcher.flush();
+        self.ship(reason)
+    }
+}
+
 fn cfg(max_records: usize, max_bytes: usize, timeout_us: u64) -> ExsConfig {
     ExsConfig {
         max_batch_records: max_records,
@@ -38,7 +75,7 @@ proptest! {
         timeout_us in 1u64..10_000,
         poll_every in 1usize..8,
     ) {
-        let mut b = Batcher::new(cfg(max_records, max_bytes, timeout_us));
+        let mut b = Sender::new(cfg(max_records, max_bytes, timeout_us));
         let mut emitted: Vec<EventRecord> = Vec::new();
         for (i, &p) in payloads.iter().enumerate() {
             let now = UtcMicros::from_micros(i as i64 * 100);
@@ -60,8 +97,8 @@ proptest! {
         for (i, r) in emitted.iter().enumerate() {
             prop_assert_eq!(r.seq, i as u64, "batches must preserve order");
         }
-        prop_assert_eq!(b.pending_records(), 0);
-        prop_assert_eq!(b.records_emitted(), payloads.len() as u64);
+        prop_assert_eq!(b.batcher.pending_records(), 0);
+        prop_assert_eq!(b.batcher.records_emitted(), payloads.len() as u64);
     }
 
     /// The record-count knob is a hard bound: no emitted batch exceeds it
@@ -71,7 +108,7 @@ proptest! {
         count in 1usize..300,
         max_records in 1usize..64,
     ) {
-        let mut b = Batcher::new(cfg(max_records, usize::MAX >> 1, 1_000_000));
+        let mut b = Sender::new(cfg(max_records, usize::MAX >> 1, 1_000_000));
         let mut sizes = Vec::new();
         for i in 0..count {
             if let Some((batch, reason)) = b.push(rec(i as u64, 8), UtcMicros::ZERO) {
@@ -96,7 +133,7 @@ proptest! {
         enqueue_at in 0i64..1_000_000,
         late_by in 0i64..100_000,
     ) {
-        let mut b = Batcher::new(cfg(1_000, usize::MAX >> 1, timeout_us as u64));
+        let mut b = Sender::new(cfg(1_000, usize::MAX >> 1, timeout_us as u64));
         let t0 = UtcMicros::from_micros(enqueue_at);
         b.push(rec(0, 8), t0);
         // Just before the deadline: nothing.

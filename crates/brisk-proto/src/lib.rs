@@ -18,7 +18,10 @@
 //!   meta-information header compressed" — each record body embeds its
 //!   packed descriptor, see [`brisk_xdr::values`]. An EXS batch names its
 //!   node once, in the header; a relay batch, which merges many nodes,
-//!   carries one node id per record.
+//!   carries one node id per record. The EXS builds its batch frames in
+//!   place, transcoding each record from its native ring bytes
+//!   ([`BatchBuilder`]); the relay encodes its merged records with
+//!   [`encode_batch`].
 //! * [`Message::BatchAck`] — ISM→sender cumulative acknowledgement: every
 //!   batch with `seq <= ack.seq` has been handed to the ISM pipeline and
 //!   may leave the sender's retransmit window. It re-advertises the
@@ -43,9 +46,12 @@
 // The decode path is a hostile-input boundary; it must never panic.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+mod builder;
 pub mod dict;
 pub mod namespace;
 
+pub use brisk_xdr::{Scoop, Transcoded};
+pub use builder::{set_batch_seq, BatchBuilder};
 pub use dict::{DescriptorDict, DictKey};
 pub use namespace::{NamespaceError, NodePrefix};
 

@@ -10,7 +10,7 @@
 //! A [`RingSet`] collects the consuming halves for one node; the external
 //! sensor drains them all in its polling loop.
 
-use crate::spsc::{ByteRing, RingConsumer, RingProducer, RingStats};
+use crate::spsc::{ByteRing, RingConsumer, RingMark, RingProducer, RingStats};
 use brisk_core::binenc;
 use brisk_core::descriptor::MAX_FIELDS;
 use brisk_core::{
@@ -136,6 +136,8 @@ pub struct RecordConsumer {
     sensor: SensorId,
     consumer: RingConsumer,
     scratch: Vec<u8>,
+    /// Bound of the drain in progress ([`RingSet::drain_frames`]).
+    mark: RingMark,
 }
 
 impl RecordConsumer {
@@ -207,6 +209,7 @@ impl RecordRing {
             },
             RecordConsumer {
                 sensor,
+                mark: consumer.mark(),
                 consumer,
                 scratch: Vec::with_capacity(256),
             },
@@ -293,6 +296,37 @@ impl RingSet {
                 break;
             }
             total += c.drain_into(max_total - total, out)?;
+        }
+        Ok(total)
+    }
+
+    /// Drain up to `max_total` raw record frames (the native encoding of
+    /// [`binenc`]) across all rings, round-robin in registration order,
+    /// calling `f` on each. The drain is bounded to what the rings held
+    /// when it began: every ring's published end is read first, then
+    /// `begin` runs, and its value is handed to every `f` call. A clock
+    /// read in `begin` is therefore later than the notice of every record
+    /// drained. Stops at the first error `f` returns. Returns the number
+    /// of frames drained.
+    pub fn drain_frames<T>(
+        &self,
+        max_total: usize,
+        begin: impl FnOnce() -> T,
+        mut f: impl FnMut(&T, &[u8]) -> Result<()>,
+    ) -> Result<usize> {
+        let mut consumers = self.consumers.lock();
+        for c in consumers.iter_mut() {
+            c.mark = c.consumer.mark();
+        }
+        let ctx = begin();
+        let mut total = 0;
+        for c in consumers.iter_mut() {
+            if total >= max_total {
+                break;
+            }
+            total += c
+                .consumer
+                .drain_to(c.mark, max_total - total, |frame| f(&ctx, frame))?;
         }
         Ok(total)
     }
@@ -482,6 +516,61 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(set.drain_into(3, &mut out).unwrap(), 3);
         assert_eq!(set.drain_into(100, &mut out).unwrap(), 7);
+    }
+
+    #[test]
+    fn drain_frames_is_bounded_to_the_rings_before_begin() {
+        let set = RingSet::new(NodeId(1), 4096);
+        let mut a = set.register();
+        let mut b = set.register();
+        for i in 0..3 {
+            a.emit(EventTypeId(1), UtcMicros::from_micros(i), fields(i as i32))
+                .unwrap();
+        }
+        assert!(b.emit(EventTypeId(2), UtcMicros::ZERO, vec![]).unwrap());
+        let mut seqs = Vec::new();
+        let n = set
+            .drain_frames(
+                usize::MAX,
+                || {
+                    // Published after the marks: left for the next drain.
+                    a.emit(EventTypeId(1), UtcMicros::ZERO, vec![]).unwrap();
+                    7
+                },
+                |ctx, frame| {
+                    assert_eq!(*ctx, 7);
+                    let (rec, used) = binenc::decode_record(frame)?;
+                    assert_eq!(used, frame.len());
+                    seqs.push((rec.sensor, rec.seq));
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert_eq!(n, 4);
+        assert_eq!(
+            seqs,
+            vec![
+                (a.sensor(), 0),
+                (a.sensor(), 1),
+                (a.sensor(), 2),
+                (b.sensor(), 0)
+            ]
+        );
+        let mut rest = Vec::new();
+        assert_eq!(set.drain_into(usize::MAX, &mut rest).unwrap(), 1);
+        assert_eq!(rest[0].seq, 3);
+        // The budget caps the drain, and an error from `f` ends it.
+        for _ in 0..3 {
+            b.emit(EventTypeId(2), UtcMicros::ZERO, vec![]).unwrap();
+        }
+        assert_eq!(set.drain_frames(2, || (), |_, _| Ok(())).unwrap(), 2);
+        let failed = set.drain_frames(
+            usize::MAX,
+            || (),
+            |_, _| Err(brisk_core::BriskError::Codec("bad frame".into())),
+        );
+        assert!(failed.is_err());
+        assert!(set.is_empty());
     }
 
     #[test]

@@ -16,6 +16,8 @@
 
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
+use std::convert::Infallible;
+use std::ptr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -85,7 +87,10 @@ impl ByteRing {
             RingProducer {
                 ring: Arc::clone(&ring),
             },
-            RingConsumer { ring },
+            RingConsumer {
+                ring,
+                scratch: Vec::new(),
+            },
         )
     }
 
@@ -102,18 +107,25 @@ impl ByteRing {
         }
     }
 
+    /// The span `[pos, pos + len)` as at most two contiguous runs of the
+    /// buffer: `(offset, first_run_len)`; the rest starts at offset 0.
     #[inline]
-    fn slot(&self, pos: usize) -> *mut u8 {
-        self.buf[pos & (self.cap - 1)].get()
+    fn runs(&self, pos: usize, len: usize) -> (usize, usize) {
+        let at = pos & (self.cap - 1);
+        (at, len.min(self.cap - at))
     }
 
     /// Copy `src` into the ring starting at monotonic position `pos`.
     /// Caller must own `[pos, pos + src.len())`.
     #[inline]
     unsafe fn write_bytes(&self, pos: usize, src: &[u8]) {
-        for (i, &b) in src.iter().enumerate() {
-            // SAFETY: caller owns this span per the head/tail protocol.
-            unsafe { *self.slot(pos + i) = b };
+        let (at, first) = self.runs(pos, src.len());
+        let base = UnsafeCell::raw_get(self.buf.as_ptr());
+        // SAFETY: caller owns this span per the head/tail protocol; both
+        // runs lie inside the buffer, which `src` cannot overlap.
+        unsafe {
+            ptr::copy_nonoverlapping(src.as_ptr(), base.add(at), first);
+            ptr::copy_nonoverlapping(src.as_ptr().add(first), base, src.len() - first);
         }
     }
 
@@ -121,9 +133,13 @@ impl ByteRing {
     /// Caller must own `[pos, pos + dst.len())`.
     #[inline]
     unsafe fn read_bytes(&self, pos: usize, dst: &mut [u8]) {
-        for (i, b) in dst.iter_mut().enumerate() {
-            // SAFETY: caller owns this span per the head/tail protocol.
-            *b = unsafe { *self.slot(pos + i) };
+        let (at, first) = self.runs(pos, dst.len());
+        let base = UnsafeCell::raw_get(self.buf.as_ptr()).cast_const();
+        // SAFETY: caller owns this span per the head/tail protocol; both
+        // runs lie inside the buffer, which `dst` cannot overlap.
+        unsafe {
+            ptr::copy_nonoverlapping(base.add(at), dst.as_mut_ptr(), first);
+            ptr::copy_nonoverlapping(base, dst.as_mut_ptr().add(first), dst.len() - first);
         }
     }
 }
@@ -196,16 +212,30 @@ impl RingProducer {
 /// The consuming half of a [`ByteRing`]. Exactly one exists per ring.
 pub struct RingConsumer {
     ring: Arc<ByteRing>,
+    /// Frame buffer of [`RingConsumer::drain`], reused across calls.
+    scratch: Vec<u8>,
 }
+
+/// A bound for [`RingConsumer::drain_to`]: the ring's published end at
+/// the moment [`RingConsumer::mark`] read it. Frames published later stay
+/// for a later drain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RingMark(usize);
 
 impl RingConsumer {
     /// Pop one frame into `out` (which is cleared first). Returns `true` if
     /// a frame was read, `false` if the ring was empty.
     pub fn pop(&mut self, out: &mut Vec<u8>) -> bool {
-        let ring = &*self.ring;
+        Self::pop_before(&self.ring, usize::MAX, out)
+    }
+
+    /// [`RingConsumer::pop`], treating the ring as ending at `limit` if
+    /// that comes before its published tail. `limit` is always a frame
+    /// boundary: a mark is a tail the producer published.
+    fn pop_before(ring: &ByteRing, limit: usize, out: &mut Vec<u8>) -> bool {
         let head = ring.head.load(Ordering::Relaxed); // consumer owns head
-        let tail = ring.tail.load(Ordering::Acquire);
-        let avail = tail - head;
+        let tail = ring.tail.load(Ordering::Acquire).min(limit);
+        let avail = tail.saturating_sub(head);
         if avail < LEN_PREFIX {
             debug_assert_eq!(avail, 0, "partial frame in ring");
             return false;
@@ -229,15 +259,42 @@ impl RingConsumer {
     }
 
     /// Drain up to `max` frames, invoking `f` on each. Returns the number
-    /// of frames consumed. The scratch buffer is reused across frames.
+    /// of frames consumed. Frames pass through a buffer the consumer owns
+    /// and reuses, so a warm drain does not allocate.
     pub fn drain(&mut self, max: usize, mut f: impl FnMut(&[u8])) -> usize {
-        let mut scratch = Vec::new();
-        let mut n = 0;
-        while n < max && self.pop(&mut scratch) {
-            f(&scratch);
-            n += 1;
+        let all = RingMark(usize::MAX);
+        let drained = self.drain_to(all, max, |frame| {
+            f(frame);
+            Ok::<(), Infallible>(())
+        });
+        match drained {
+            Ok(n) => n,
+            Err(never) => match never {},
         }
-        n
+    }
+
+    /// Where the ring's published frames end now: a bound for
+    /// [`RingConsumer::drain_to`].
+    pub(crate) fn mark(&self) -> RingMark {
+        RingMark(self.ring.tail.load(Ordering::Acquire))
+    }
+
+    /// Drain up to `max` of the frames published before `mark`, invoking
+    /// `f` on each, through the consumer's reused buffer. Stops at the
+    /// first error `f` returns (its frame counts as consumed). Returns
+    /// the number of frames consumed.
+    pub(crate) fn drain_to<E>(
+        &mut self,
+        mark: RingMark,
+        max: usize,
+        mut f: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let mut n = 0;
+        while n < max && Self::pop_before(&self.ring, mark.0, &mut self.scratch) {
+            n += 1;
+            f(&self.scratch)?;
+        }
+        Ok(n)
     }
 
     /// True if no complete frame is currently available.
@@ -373,6 +430,26 @@ mod tests {
     }
 
     #[test]
+    fn drain_to_stops_at_the_mark() {
+        let (mut p, mut c) = ByteRing::with_capacity(1024);
+        p.push(&[1]);
+        p.push(&[2]);
+        let mark = c.mark();
+        p.push(&[3]); // published after the mark
+        let mut seen = Vec::new();
+        let n = c.drain_to(mark, usize::MAX, |frame| {
+            seen.push(frame[0]);
+            Ok::<(), ()>(())
+        });
+        assert_eq!(n, Ok(2));
+        assert_eq!(seen, vec![1, 2]);
+        // An error stops the drain; its frame is consumed.
+        let failed = c.drain_to(c.mark(), usize::MAX, |_| Err("bad frame"));
+        assert_eq!(failed, Err("bad frame"));
+        assert!(c.is_empty());
+    }
+
+    #[test]
     fn free_bytes_reports_capacity_minus_used() {
         let (mut p, _c) = ByteRing::with_capacity(64);
         assert_eq!(p.free_bytes(), 64);
@@ -433,8 +510,11 @@ mod tests {
 
     #[test]
     fn concurrent_stress_with_varied_sizes_and_drops() {
+        use std::sync::atomic::AtomicBool;
         let (mut p, mut c) = ByteRing::with_capacity(256);
         const N: u32 = 50_000;
+        let done = Arc::new(AtomicBool::new(false));
+        let producer_done = Arc::clone(&done);
         let producer = thread::spawn(move || {
             let mut accepted = Vec::new();
             for i in 0..N {
@@ -448,22 +528,26 @@ mod tests {
                     accepted.push(i);
                 }
             }
+            producer_done.store(true, Ordering::Release);
             (accepted, p.stats())
         });
         let consumer = thread::spawn(move || {
             let mut out = Vec::new();
             let mut got = Vec::new();
-            let mut idle = 0;
-            while idle < 10_000 {
+            loop {
+                // Read the flag before popping: once the producer is done,
+                // an empty pop means every accepted frame was seen. A
+                // descheduled producer cannot end the drain early.
+                let finished = done.load(Ordering::Acquire);
                 if c.pop(&mut out) {
-                    idle = 0;
                     let i = u32::from_le_bytes(out[..4].try_into().unwrap());
                     for (j, &b) in out[4..].iter().enumerate() {
                         assert_eq!(b, (i as u8).wrapping_mul(31).wrapping_add(j as u8));
                     }
                     got.push(i);
+                } else if finished {
+                    break;
                 } else {
-                    idle += 1;
                     std::thread::yield_now();
                 }
             }

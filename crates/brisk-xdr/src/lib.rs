@@ -13,7 +13,9 @@
 //!   big-endian and padded to 4-byte alignment ([`encode::XdrEncoder`],
 //!   [`decode::XdrDecoder`]);
 //! * the mapping from BRISK's dynamically-typed [`brisk_core::Value`]s onto
-//!   those primitives ([`values`]).
+//!   those primitives ([`values`]);
+//! * the EXS's one-pass transcoder from the native ring form of a record
+//!   to its XDR body ([`transcode`]).
 //!
 //! Framing of whole messages (batches, clock-sync messages, …) lives one
 //! layer up in `brisk-proto`.
@@ -23,11 +25,13 @@
 
 pub mod decode;
 pub mod encode;
+pub mod transcode;
 pub mod values;
 pub mod view;
 
 pub use decode::{DecodeError, XdrDecoder};
 pub use encode::XdrEncoder;
+pub use transcode::{patch_send_stamp, transcode_record, Scoop, Transcoded};
 pub use view::{decode_record_view, decode_value_ref, RecordView, ValueRef};
 
 /// Round `n` up to the next multiple of 4 (XDR alignment unit).

@@ -73,6 +73,7 @@ fn supervised_exs_and_relay_exporter_keep_their_metric_names() {
         "brisk_exs_heartbeats_sent_total",
         "brisk_exs_hello_acks_total",
         "brisk_exs_decode_errors_total",
+        "brisk_exs_hlc_full_skips_total",
         "brisk_exs_busy_nanos_total",
         "brisk_exs_iterations_total",
         "brisk_exs_connects_total",
@@ -125,7 +126,7 @@ fn supervised_exs_and_relay_exporter_keep_their_metric_names() {
     }
     want.insert(series("brisk_relay_ack_latency_us", "histogram", &prefix));
 
-    assert_eq!(want.len(), 24 + 2 + 16);
+    assert_eq!(want.len(), 25 + 2 + 16);
     let missing: Vec<_> = want.difference(&got).collect();
     let extra: Vec<_> = got.difference(&want).collect();
     assert!(
